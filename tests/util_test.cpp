@@ -8,6 +8,7 @@
 #include <atomic>
 #include <set>
 
+#include "digest.h"
 #include "util/errors.h"
 #include "util/format.h"
 #include "util/histogram.h"
@@ -125,6 +126,32 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::uint64_t, std::uint64_t>{1000, 999},
                       std::pair<std::uint64_t, std::uint64_t>{50000,
                                                               128}));
+
+/**
+ * Pinned output of Floyd's sampler, taken before it dropped its hash
+ * set: the same draws must pick the same values in the same order.
+ */
+TEST(Rng, SampleWithoutReplacementIsPinned)
+{
+    Rng rng(2024);
+    EXPECT_EQ(rng.sampleWithoutReplacement(100, 10),
+              (std::vector<std::uint64_t>{47, 9, 53, 63, 3, 85, 44, 74,
+                                          7, 24}));
+    // Collision-heavy: most of the population is drawn.
+    EXPECT_EQ(rng.sampleWithoutReplacement(30, 25),
+              (std::vector<std::uint64_t>{4,  0,  6,  8,  1,  10, 5,
+                                          9,  11, 14, 15, 16, 17, 18,
+                                          19, 20, 21, 22, 3,  24, 25,
+                                          26, 13, 28, 2}));
+
+    // Larger draws, pinned by digest.
+    testing_digest::Fnv h;
+    h.vec(rng.sampleWithoutReplacement(5000, 1000));
+    h.vec(rng.sampleWithoutReplacement(1u << 20, 200));
+    h.vec(rng.sampleWithoutReplacement(64, 63));
+    h.vec(rng.sampleWithoutReplacement(12, 12));
+    EXPECT_EQ(h.value(), 0x9fdcc2a756874769ULL) << std::hex << h.value();
+}
 
 TEST(Rng, ShufflePreservesElements)
 {
