@@ -34,13 +34,16 @@ struct BucketGroup
 
     /** Total output nodes across member buckets. */
     std::uint64_t outputCount() const;
+
+    bool operator==(const BucketGroup &) const = default;
 };
 
 /**
  * Evenly splits @p bucket into @p pieces micro-buckets (paper's
- * SplitExplosionBucket). Every piece keeps the original degree; member
- * counts differ by at most one. Pieces never come back empty unless
- * pieces > volume.
+ * SplitExplosionBucket), dealing members round-robin. Every piece
+ * keeps the original degree; member counts differ by at most one. The
+ * piece count is clamped to the volume (to one piece for an empty
+ * bucket), so no piece comes back empty unless the bucket is.
  */
 std::vector<DegreeBucket> splitExplosionBucket(
     const DegreeBucket &bucket, int pieces);

@@ -22,6 +22,7 @@
 #include "nn/memory_model.h"
 #include "sampling/bucketing.h"
 #include "sampling/sampled_subgraph.h"
+#include "util/thread_pool.h"
 
 namespace buffalo::core {
 
@@ -42,9 +43,19 @@ struct BucketMemInfo
     double degree = 0.0;
     /** M_est[i]: standalone training bytes of this bucket's cone. */
     std::uint64_t est_bytes = 0;
+
+    bool operator==(const BucketMemInfo &) const = default;
 };
 
-/** Computes per-bucket standalone memory estimates. */
+/**
+ * Computes per-bucket standalone memory estimates.
+ *
+ * Pricing a bucket is a pure function of the bucket and the subgraph,
+ * so a list of buckets is priced on a thread pool with each result
+ * written at its bucket's index: the output is byte-identical at any
+ * worker count. Each thread walks cones over one reused, epoch-stamped
+ * visited table sized by the subgraph (no per-walk allocation).
+ */
 class BucketMemEstimator
 {
   public:
@@ -52,23 +63,33 @@ class BucketMemEstimator
      * @param model The shared analytic model (see nn/memory_model.h).
      * @param sg The batch subgraph (provides the sampled adjacency the
      *           cone walk runs over).
+     * @param pool Pool that prices bucket lists; null uses the
+     *             process-global pool. Calls made from inside a pool
+     *             task price serially, like the compute kernels, so a
+     *             pipeline stage never takes workers from compute.
      */
     BucketMemEstimator(const nn::MemoryModel &model,
-                       const SampledSubgraph &sg);
+                       const SampledSubgraph &sg,
+                       util::ThreadPool *pool = nullptr);
 
     /**
-     * Prices every bucket in @p buckets. The cone walk touches each
-     * sampled edge at most once per bucket, so the total cost is the
-     * same order as one block generation — no tensor work.
+     * Prices every bucket in @p buckets (one cone walk each), in
+     * parallel; result i belongs to bucket i. The cone walk touches
+     * each sampled edge at most once per bucket, so the total cost is
+     * the same order as one block generation — no tensor work.
      */
-    std::vector<BucketMemInfo> estimate(const BucketList &buckets) const;
+    std::vector<BucketMemInfo> estimate(BucketList buckets) const;
 
-    /** Prices one bucket. */
+    /** Prices one bucket on the calling thread. */
     BucketMemInfo estimateBucket(const DegreeBucket &bucket) const;
 
   private:
+    /** Fills @p info's counts and estimate from its bucket. */
+    void price(BucketMemInfo &info) const;
+
     const nn::MemoryModel &model_;
     const SampledSubgraph &sg_;
+    util::ThreadPool *pool_;
 };
 
 /** Redundancy-aware group pricing (Eq. 1 + Eq. 2). */

@@ -70,10 +70,14 @@ class BuffaloScheduler
      * @param model The analytic memory model for the GNN config.
      * @param clustering_coefficient Average clustering coefficient of
      *        the input graph (offline statistic, paper §IV-D).
+     * @param pool Pool that prices bucket lists (see
+     *        BucketMemEstimator); null uses the process-global pool.
+     *        The schedule is byte-identical for every pool.
      */
     BuffaloScheduler(const nn::MemoryModel &model,
                      double clustering_coefficient,
-                     const SchedulerOptions &options);
+                     const SchedulerOptions &options,
+                     util::ThreadPool *pool = nullptr);
 
     /**
      * Schedules @p sg into bucket groups. Throws DeviceOom-agnostic
@@ -89,6 +93,7 @@ class BuffaloScheduler
     RedundancyAwareMemEstimator redundancy_estimator_;
     RedundancyAwareMemEstimator linear_estimator_;
     SchedulerOptions options_;
+    util::ThreadPool *pool_;
 };
 
 } // namespace buffalo::core

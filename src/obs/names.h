@@ -41,6 +41,8 @@ inline constexpr char kCtrSchedulerKAttempts[] =
     "scheduler.k_attempts";
 inline constexpr char kCtrSchedulerExplosionSplits[] =
     "scheduler.explosion_splits";
+/** Bucket cone walks (BucketMemEstimator pricings); deterministic. */
+inline constexpr char kCtrSchedulerConeWalks[] = "scheduler.cone_walks";
 inline constexpr char kCtrBlockgenBlocks[] = "blockgen.blocks";
 inline constexpr char kCtrBlockgenNodes[] = "blockgen.nodes";
 inline constexpr char kCtrBlockgenEdges[] = "blockgen.edges";

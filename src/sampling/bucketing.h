@@ -28,6 +28,8 @@ struct DegreeBucket
 
     /** Number of member nodes (the bucket volume). */
     NodeId volume() const { return static_cast<NodeId>(members.size()); }
+
+    bool operator==(const DegreeBucket &) const = default;
 };
 
 /** A degree-sorted list of buckets. */

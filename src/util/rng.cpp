@@ -1,7 +1,7 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/errors.h"
 
@@ -19,6 +19,9 @@ splitMix64(std::uint64_t &x)
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
 }
+
+/** Floyd draws up to this size check membership by scanning. */
+constexpr std::uint64_t kScanMaxCount = 64;
 
 std::uint64_t
 rotl(std::uint64_t x, int k)
@@ -114,18 +117,26 @@ Rng::sampleWithoutReplacement(std::uint64_t population, std::uint64_t count)
         return all;
     }
     // Floyd's algorithm: for j in [population - count, population), pick a
-    // uniform t in [0, j]; insert t unless taken, else insert j.
-    std::unordered_set<std::uint64_t> taken;
+    // uniform t in [0, j]; insert t unless taken, else insert j. The
+    // taken set is exactly the result so far: short draws (neighbor
+    // fanouts) scan it, longer ones mark a bitmap over the population.
     std::vector<std::uint64_t> result;
     result.reserve(count);
+    std::vector<bool> taken_bits;
+    const bool scan = count <= kScanMaxCount;
+    if (!scan)
+        taken_bits.resize(population, false);
+    auto taken = [&](std::uint64_t v) {
+        return scan ? std::find(result.begin(), result.end(), v) !=
+                          result.end()
+                    : static_cast<bool>(taken_bits[v]);
+    };
     for (std::uint64_t j = population - count; j < population; ++j) {
-        std::uint64_t t = nextBounded(j + 1);
-        if (taken.insert(t).second) {
-            result.push_back(t);
-        } else {
-            taken.insert(j);
-            result.push_back(j);
-        }
+        const std::uint64_t t = nextBounded(j + 1);
+        const std::uint64_t pick = taken(t) ? j : t;
+        if (!scan)
+            taken_bits[pick] = true;
+        result.push_back(pick);
     }
     return result;
 }

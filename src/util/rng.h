@@ -40,8 +40,11 @@ class Rng
 
     /**
      * Samples @p count distinct values from [0, population) without
-     * replacement. Uses Floyd's algorithm; O(count) expected time.
-     * When count >= population, returns the whole range shuffled.
+     * replacement. Uses Floyd's algorithm, one draw per value. Counts
+     * up to 64 check membership by scanning the picks so far
+     * (O(count^2), no allocation beyond the result); larger counts use
+     * a bitmap of population bits. When count >= population, returns
+     * the whole range shuffled.
      */
     std::vector<std::uint64_t> sampleWithoutReplacement(
         std::uint64_t population, std::uint64_t count);
