@@ -42,6 +42,17 @@ numberField(const JsonValue &metric, const std::string &name,
     return metric.at(field).asNumber();
 }
 
+/** "%.6g" of a bound, or "-" when the side is open. */
+std::string
+boundText(const std::optional<double> &bound)
+{
+    if (!bound)
+        return "-";
+    char text[32];
+    std::snprintf(text, sizeof(text), "%.6g", *bound);
+    return text;
+}
+
 } // namespace
 
 BenchCompareResult
@@ -58,10 +69,24 @@ compareBenchReports(const JsonValue &baseline, const JsonValue &candidate)
         BenchMetricDiff diff;
         diff.name = name;
         diff.baseline = numberField(base_metric, name, "value");
-        diff.tolerance = numberField(base_metric, name, "tolerance");
-        checkArgument(diff.tolerance >= 0.0,
-                      "bench metric \"" + name +
-                          "\" has a negative tolerance");
+        if (base_metric.has("min"))
+            diff.min = numberField(base_metric, name, "min");
+        if (base_metric.has("max"))
+            diff.max = numberField(base_metric, name, "max");
+        if (diff.bounded()) {
+            checkArgument(!base_metric.has("tolerance"),
+                          "bench metric \"" + name +
+                              "\" gives both a tolerance and bounds");
+            checkArgument(!diff.min || !diff.max || *diff.min <= *diff.max,
+                          "bench metric \"" + name +
+                              "\" has min > max");
+        } else {
+            diff.tolerance =
+                numberField(base_metric, name, "tolerance");
+            checkArgument(diff.tolerance >= 0.0,
+                          "bench metric \"" + name +
+                              "\" has a negative tolerance");
+        }
         if (!cand_metrics.has(name)) {
             diff.missing = true;
             result.diffs.push_back(diff);
@@ -106,6 +131,14 @@ formatBenchCompare(const BenchCompareResult &result)
                           "  FAIL %-32s missing from candidate "
                           "(baseline %.6g)\n",
                           diff.name.c_str(), diff.baseline);
+        } else if (diff.bounded()) {
+            std::snprintf(line, sizeof(line),
+                          "  %s %-32s base %.6g  cand %.6g  "
+                          "bounds [%s, %s]\n",
+                          diff.ok() ? "ok  " : "FAIL",
+                          diff.name.c_str(), diff.baseline,
+                          diff.candidate, boundText(diff.min).c_str(),
+                          boundText(diff.max).c_str());
         } else {
             std::snprintf(line, sizeof(line),
                           "  %s %-32s base %.6g  cand %.6g  "

@@ -5,21 +5,27 @@
  * `bench::Reporter` emits next to its ASCII table:
  *
  *   {"bench": "<name>",
- *    "metrics": {"<metric>": {"value": 12.5, "tolerance": 0.10}, ...}}
+ *    "metrics": {"<metric>": {"value": 12.5, "tolerance": 0.10},
+ *                "<ratio>":  {"value": 3.1, "min": 2.0}, ...}}
  *
  * compareBenchReports() walks the *baseline's* metrics: each must be
- * present in the candidate and within the baseline's own per-metric
- * relative tolerance, |cand - base| / max(|base|, eps) <= tolerance.
- * Embedding the tolerance in the baseline keeps the policy versioned
- * next to the numbers it governs — refreshing a baseline re-states
- * both. Metrics only the candidate has are reported but never fail
- * the comparison (new metrics must not break older baselines).
+ * present in the candidate and pass the baseline's own gate. A metric
+ * gates either symmetrically, with a relative tolerance
+ * |cand - base| / max(|base|, eps) <= tolerance, or one-sidedly, with
+ * an absolute floor "min" and/or ceiling "max" on the candidate value
+ * (a speedup floor, say, which no gain can fail). A metric gives
+ * either "tolerance" or at least one bound, never both. Embedding the
+ * gate in the baseline keeps the policy versioned next to the numbers
+ * it governs — refreshing a baseline re-states both. Metrics only the
+ * candidate has are reported but never fail the comparison (new
+ * metrics must not break older baselines).
  *
  * Lives in src/obs (not in the tool) so the unit tests link the
  * exact logic CI gates on.
  */
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,13 +43,24 @@ struct BenchMetricDiff
     double rel_diff = 0.0;
     /** Allowed relative drift (from the baseline document). */
     double tolerance = 0.0;
+    /** One-sided bounds on the candidate value; when either is set the
+     *  tolerance is not used. */
+    std::optional<double> min;
+    std::optional<double> max;
     /** Metric absent from the candidate (always a failure). */
     bool missing = false;
+
+    bool bounded() const { return min || max; }
 
     bool
     ok() const
     {
-        return !missing && rel_diff <= tolerance;
+        if (missing)
+            return false;
+        if (!bounded())
+            return rel_diff <= tolerance;
+        return (!min || candidate >= *min) &&
+               (!max || candidate <= *max);
     }
 };
 

@@ -246,6 +246,77 @@ TEST(BenchCompare, MalformedDocumentsThrow)
         InvalidArgument);
 }
 
+TEST(BenchCompare, FloorPassesAnyGainAndFailsBelow)
+{
+    const obs::JsonValue base =
+        report(R"("s":{"value":3.0,"min":1.5})");
+    // A floor ignores how far above it the candidate lands.
+    EXPECT_TRUE(obs::compareBenchReports(
+                    base, report(R"("s":{"value":30.0,"min":1.5})"))
+                    .ok());
+    EXPECT_TRUE(obs::compareBenchReports(
+                    base, report(R"("s":{"value":1.5,"tolerance":0})"))
+                    .ok());
+    const auto below = obs::compareBenchReports(
+        base, report(R"("s":{"value":1.49,"min":1.5})"));
+    EXPECT_FALSE(below.ok());
+    ASSERT_EQ(below.diffs.size(), 1u);
+    EXPECT_TRUE(below.diffs[0].bounded());
+    const std::string text = obs::formatBenchCompare(below);
+    EXPECT_NE(text.find("FAIL"), std::string::npos);
+    EXPECT_NE(text.find("bounds [1.5, -]"), std::string::npos);
+}
+
+TEST(BenchCompare, CeilingAndWindowBounds)
+{
+    const obs::JsonValue ceiling =
+        report(R"("e":{"value":0.2,"max":0.25})");
+    EXPECT_TRUE(obs::compareBenchReports(
+                    ceiling, report(R"("e":{"value":0.0,"max":1})"))
+                    .ok());
+    EXPECT_FALSE(obs::compareBenchReports(
+                     ceiling, report(R"("e":{"value":0.26,"max":1})"))
+                     .ok());
+
+    const obs::JsonValue window =
+        report(R"("w":{"value":5,"min":4,"max":6})");
+    EXPECT_TRUE(obs::compareBenchReports(
+                    window, report(R"("w":{"value":6,"min":0})"))
+                    .ok());
+    EXPECT_FALSE(obs::compareBenchReports(
+                     window, report(R"("w":{"value":3.9,"min":0})"))
+                     .ok());
+    EXPECT_FALSE(obs::compareBenchReports(
+                     window, report(R"("w":{"value":6.1,"min":0})"))
+                     .ok());
+    // A missing candidate fails a bounded metric too.
+    EXPECT_FALSE(obs::compareBenchReports(window, report("")).ok());
+}
+
+TEST(BenchCompare, MalformedBoundsThrow)
+{
+    const obs::JsonValue good =
+        report(R"("m":{"value":1.0,"tolerance":0.5})");
+    // Non-numeric bound.
+    EXPECT_THROW(obs::compareBenchReports(
+                     report(R"("m":{"value":1,"min":"low"})"), good),
+                 InvalidArgument);
+    // Both a tolerance and a bound: which gate applies is ambiguous.
+    EXPECT_THROW(
+        obs::compareBenchReports(
+            report(R"("m":{"value":1,"tolerance":0.1,"min":0.5})"),
+            good),
+        InvalidArgument);
+    // An empty window.
+    EXPECT_THROW(obs::compareBenchReports(
+                     report(R"("m":{"value":1,"min":2,"max":1})"), good),
+                 InvalidArgument);
+    // Neither a tolerance nor a bound.
+    EXPECT_THROW(obs::compareBenchReports(
+                     report(R"("m":{"value":1})"), good),
+                 InvalidArgument);
+}
+
 TEST(BenchCompare, FileRoundTrip)
 {
     const std::string base =

@@ -6,11 +6,12 @@
  *   bench_diff <baseline.json> <candidate.json>
  *
  * Compares a candidate BENCH_*.json against a committed baseline;
- * every baseline metric must be present in the candidate and within
- * the baseline's per-metric relative tolerance. Exit codes: 0 = all
- * metrics within tolerance, 1 = regression (drift or missing metric),
- * 2 = usage / unreadable / malformed input. ci.sh gates the smoke
- * bench with this tool.
+ * every baseline metric must be present in the candidate and pass the
+ * baseline's per-metric gate: a symmetric relative "tolerance", or
+ * one-sided "min"/"max" bounds on the candidate value. Exit codes:
+ * 0 = every metric passes, 1 = regression (drift, a bound crossed, or
+ * a missing metric), 2 = usage / unreadable / malformed input. ci.sh
+ * gates the bench reports with this tool.
  */
 #include <cstdio>
 
