@@ -10,7 +10,7 @@
 #      gated by obs_validate `@serve`) + buffalo_profile critical-
 #      path gates over both smokes' artifacts (all stages present,
 #      dominant stage identified, overlap efficiency in (0, 1]) +
-#      bench-smoke, bench-kernels, bench-fig12,
+#      bench-smoke, bench-kernels, bench-fig12, bench-fig11,
 #      bench-serve and bench-pipeline regression legs gated by
 #      bench_diff against the committed baselines. Both smokes enable
 #      the feature cache with the presample policy and expect the
@@ -170,6 +170,14 @@ BUFFALO_BENCH_DIR="${bench_dir}" \
 "${prefix}-release/tools/bench_diff" \
     bench/baselines/BENCH_fig12.json \
     "${bench_dir}/BENCH_fig12.json"
+# Scheduler gate: cone walks per products-sim schedule (exact) and the
+# in-run 4-worker vs 1-worker scheduling speedup (one-sided floor,
+# plans checked byte-identical) from the Figure-11 breakdown.
+BUFFALO_BENCH_DIR="${bench_dir}" \
+    "${prefix}-release/bench/bench_fig11_breakdown"
+"${prefix}-release/tools/bench_diff" \
+    bench/baselines/BENCH_fig11.json \
+    "${bench_dir}/BENCH_fig11.json"
 
 echo "=== Scalar (BUFFALO_SIMD=OFF) build + tests ==="
 # The same tree with the wide-ISA TU compiled as scalar lanes: the
