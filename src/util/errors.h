@@ -51,9 +51,29 @@ checkArgument(bool cond, const std::string &msg)
         throw InvalidArgument(msg);
 }
 
+/**
+ * checkArgument for a literal message: the string is only built on
+ * failure, so a check inside a per-edge loop costs one branch instead of
+ * a std::string construction (a heap allocation past 15 characters).
+ */
+inline void
+checkArgument(bool cond, const char *msg)
+{
+    if (!cond)
+        throw InvalidArgument(msg);
+}
+
 /** Checks an internal invariant, throwing InternalError on failure. */
 inline void
 checkInternal(bool cond, const std::string &msg)
+{
+    if (!cond)
+        throw InternalError(msg);
+}
+
+/** checkInternal for a literal message (built only on failure). */
+inline void
+checkInternal(bool cond, const char *msg)
 {
     if (!cond)
         throw InternalError(msg);
