@@ -1,10 +1,12 @@
 #include "nn/lstm.h"
 
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "util/errors.h"
 
 namespace buffalo::nn {
 
+namespace kernels = buffalo::tensor::kernels;
 namespace ops = buffalo::tensor;
 
 LstmCell::LstmCell(std::string name, std::size_t input_dim,
@@ -36,29 +38,29 @@ LstmCell::step(const Tensor &x, const Tensor &h_prev,
 {
     checkArgument(x.cols() == inputDim(),
                   "LstmCell::step: input width mismatch");
+    const std::size_t n = x.rows();
     const std::size_t h = hiddenDim();
 
-    Tensor z = ops::matmul(x, wx_.value(), observer);
-    ops::addInPlace(z, ops::matmul(h_prev, wh_.value(), observer));
-    z = ops::addRowBroadcast(z, b_.value(), observer);
+    // Two GEMMs, not one over [x | h_prev] * [Wx; Wh]: the gate
+    // pre-activation is the sum of two separately rounded products.
+    const Tensor zx = ops::matmul(x, wx_.value(), observer);
+    const Tensor zh = ops::matmul(h_prev, wh_.value(), observer);
 
     cache.x = x;
     cache.h_prev = h_prev;
     cache.c_prev = c_prev;
-    cache.i = ops::sigmoid(ops::sliceColumns(z, 0, h, observer),
-                           observer);
-    cache.f = ops::sigmoid(ops::sliceColumns(z, h, 2 * h, observer),
-                           observer);
-    cache.g =
-        ops::tanh(ops::sliceColumns(z, 2 * h, 3 * h, observer), observer);
-    cache.o = ops::sigmoid(ops::sliceColumns(z, 3 * h, 4 * h, observer),
-                           observer);
-
-    cache.c = ops::add(ops::multiply(cache.f, c_prev, observer),
-                       ops::multiply(cache.i, cache.g, observer),
-                       observer);
-    cache.tanh_c = ops::tanh(cache.c, observer);
-    Tensor h_out = ops::multiply(cache.o, cache.tanh_c, observer);
+    cache.i = Tensor::uninitialized(n, h, observer);
+    cache.f = Tensor::uninitialized(n, h, observer);
+    cache.g = Tensor::uninitialized(n, h, observer);
+    cache.o = Tensor::uninitialized(n, h, observer);
+    cache.c = Tensor::uninitialized(n, h, observer);
+    cache.tanh_c = Tensor::uninitialized(n, h, observer);
+    Tensor h_out = Tensor::uninitialized(n, h, observer);
+    kernels::fusedLstmForward(zx.data(), zh.data(), b_.value().data(),
+                              c_prev.data(), n, h, cache.i.data(),
+                              cache.f.data(), cache.g.data(),
+                              cache.o.data(), cache.c.data(),
+                              cache.tanh_c.data(), h_out.data());
     return {std::move(h_out), cache.c};
 }
 
@@ -69,46 +71,13 @@ LstmCell::stepBackward(const StepCache &cache, const Tensor &dh,
     const std::size_t n = dh.rows();
     const std::size_t h = hiddenDim();
 
-    // dh -> output gate and tanh(c) paths.
-    Tensor d_o = ops::multiply(dh, cache.tanh_c, observer);
-    Tensor d_tanh_c = ops::multiply(dh, cache.o, observer);
-
-    // dc = dc_in + d_tanh_c * (1 - tanh(c)^2)
-    Tensor one_minus_t2 = Tensor::zeros(n, h, observer);
-    for (std::size_t k = 0; k < one_minus_t2.size(); ++k) {
-        const float t = cache.tanh_c.data()[k];
-        one_minus_t2.data()[k] = 1.0f - t * t;
-    }
-    Tensor dc = ops::add(
-        dc_in, ops::multiply(d_tanh_c, one_minus_t2, observer), observer);
-
-    Tensor d_f = ops::multiply(dc, cache.c_prev, observer);
-    Tensor d_i = ops::multiply(dc, cache.g, observer);
-    Tensor d_g = ops::multiply(dc, cache.i, observer);
-    Tensor dc_prev = ops::multiply(dc, cache.f, observer);
-
-    // Gate pre-activation gradients.
-    auto sigmoid_back = [&](const Tensor &gate, const Tensor &grad) {
-        Tensor out = Tensor::zeros(n, h, observer);
-        for (std::size_t k = 0; k < out.size(); ++k) {
-            const float s = gate.data()[k];
-            out.data()[k] = grad.data()[k] * s * (1.0f - s);
-        }
-        return out;
-    };
-    Tensor dz_i = sigmoid_back(cache.i, d_i);
-    Tensor dz_f = sigmoid_back(cache.f, d_f);
-    Tensor dz_o = sigmoid_back(cache.o, d_o);
-    Tensor dz_g = Tensor::zeros(n, h, observer);
-    for (std::size_t k = 0; k < dz_g.size(); ++k) {
-        const float g = cache.g.data()[k];
-        dz_g.data()[k] = d_g.data()[k] * (1.0f - g * g);
-    }
-
-    // Assemble dz in forward gate order (i, f, g, o).
-    Tensor dz = ops::concatColumns(
-        ops::concatColumns(dz_i, dz_f, observer),
-        ops::concatColumns(dz_g, dz_o, observer), observer);
+    // Gate pre-activation gradients in forward gate order (i, f, g, o).
+    Tensor dz = Tensor::uninitialized(n, 4 * h, observer);
+    Tensor dc_prev = Tensor::uninitialized(n, h, observer);
+    kernels::fusedLstmBackward(
+        dh.data(), dc_in.data(), cache.i.data(), cache.f.data(),
+        cache.g.data(), cache.o.data(), cache.c_prev.data(),
+        cache.tanh_c.data(), n, h, dz.data(), dc_prev.data());
 
     wx_.accumulateGrad(ops::matmulTransposeA(cache.x, dz, observer));
     wh_.accumulateGrad(

@@ -199,6 +199,42 @@ void fusedScatterScaledAdd(const float *grad,
                            std::size_t d, std::size_t dim, float norm,
                            float *grad_x, std::size_t grad_x_rows);
 
+/**
+ * Fused LSTM cell passes (full ops: each records one Elementwise call
+ * and fans out over rows with parallelRows). Row r of the n x 4h gate
+ * tensors holds the column blocks (i, f, g, o); every other tensor is
+ * n x h. Both replay, element for element, the rounding sequence of
+ * the unfused add / addRowBroadcast / sigmoid / tanh / multiply
+ * chain they replace.
+ *
+ * fusedLstmForward: given the gate GEMMs zx = x*Wx and zh = h*Wh,
+ *   z = (zx + zh) + bias;  i, f, o = 1 / (1 + exp(-z));  g = tanh(z)
+ *   c = (f * c_prev) + (i * g);  tanh_c = tanh(c);  h = o * tanh_c
+ * with the scalar std::exp / std::tanh of ops::sigmoid / ops::tanh.
+ */
+void fusedLstmForward(const float *zx, const float *zh,
+                      const float *bias, const float *c_prev,
+                      std::size_t n, std::size_t h, float *i, float *f,
+                      float *g, float *o, float *c, float *tanh_c,
+                      float *h_out);
+
+/**
+ * fusedLstmBackward: from the step's output gradients dh and dc_in,
+ *   dc = dc_in + (dh * o) * (1 - tanh_c * tanh_c)
+ *   dz_i = ((dc * g) * i) * (1 - i)
+ *   dz_f = ((dc * c_prev) * f) * (1 - f)
+ *   dz_g = (dc * i) * (1 - g * g)
+ *   dz_o = ((dh * tanh_c) * o) * (1 - o)
+ *   dc_prev = dc * f
+ * writing dz (n x 4h) and dc_prev. No transcendentals, so the wide
+ * path runs it in VecF lanes.
+ */
+void fusedLstmBackward(const float *dh, const float *dc_in,
+                       const float *i, const float *f, const float *g,
+                       const float *o, const float *c_prev,
+                       const float *tanh_c, std::size_t n,
+                       std::size_t h, float *dz, float *dc_prev);
+
 /** Instrumented op classes (obs counters kernels.<class>_*). */
 enum class OpClass { Gemm, Elementwise, Gather, Aggregate };
 

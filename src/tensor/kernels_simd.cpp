@@ -67,8 +67,11 @@ packPanel(const float *b, std::size_t n, std::size_t kp,
  * The shared A*B tile micro-kernel: rows [r0, r1) of C against the
  * packed panel. @p arow_of maps (row, kk) to the A element so the
  * same body serves gemmRows (A row-major) and gemmTransposeARows
- * (A column-major). Four C rows share every panel load; each C
- * element is loaded once per tile, accumulated in a register over
+ * (A column-major). A 4-row x 2-vector block keeps eight independent
+ * accumulator chains in flight, enough to hide the add latency; each
+ * broadcast A value feeds two vectors and each panel load four rows.
+ * A 1-vector and a scalar column tail follow, then single rows. Each
+ * C element is loaded once per tile, accumulated in a register over
  * the panel's kk (k-ascending), and stored — the serial per-element
  * order for any tiling.
  */
@@ -88,6 +91,40 @@ tileMicroKernel(ARowAt arow_at, const float *panel, float *c,
         float *c2 = c + (i + 2) * n + jp;
         float *c3 = c + (i + 3) * n + jp;
         std::size_t j = 0;
+        for (; j + 2 * W <= tw; j += 2 * W) {
+            s::VecF acc0 = s::load(c0 + j);
+            s::VecF acc1 = s::load(c1 + j);
+            s::VecF acc2 = s::load(c2 + j);
+            s::VecF acc3 = s::load(c3 + j);
+            s::VecF acc4 = s::load(c0 + j + W);
+            s::VecF acc5 = s::load(c1 + j + W);
+            s::VecF acc6 = s::load(c2 + j + W);
+            s::VecF acc7 = s::load(c3 + j + W);
+            for (std::size_t kk = 0; kk < kd; ++kk) {
+                const s::VecF b0 = s::load(panel + kk * tw + j);
+                const s::VecF b1 = s::load(panel + kk * tw + j + W);
+                const s::VecF a0 = s::broadcast(arow_at(i + 0, kp + kk));
+                const s::VecF a1 = s::broadcast(arow_at(i + 1, kp + kk));
+                const s::VecF a2 = s::broadcast(arow_at(i + 2, kp + kk));
+                const s::VecF a3 = s::broadcast(arow_at(i + 3, kp + kk));
+                acc0 = s::mulAdd(a0, b0, acc0);
+                acc1 = s::mulAdd(a1, b0, acc1);
+                acc2 = s::mulAdd(a2, b0, acc2);
+                acc3 = s::mulAdd(a3, b0, acc3);
+                acc4 = s::mulAdd(a0, b1, acc4);
+                acc5 = s::mulAdd(a1, b1, acc5);
+                acc6 = s::mulAdd(a2, b1, acc6);
+                acc7 = s::mulAdd(a3, b1, acc7);
+            }
+            s::store(c0 + j, acc0);
+            s::store(c1 + j, acc1);
+            s::store(c2 + j, acc2);
+            s::store(c3 + j, acc3);
+            s::store(c0 + j + W, acc4);
+            s::store(c1 + j + W, acc5);
+            s::store(c2 + j + W, acc6);
+            s::store(c3 + j + W, acc7);
+        }
         for (; j + W <= tw; j += W) {
             s::VecF acc0 = s::load(c0 + j);
             s::VecF acc1 = s::load(c1 + j);
@@ -240,7 +277,8 @@ gemmTransposeBRows(const float *a, const float *b, float *c,
     // (panel[kk*W + l] = b[(j+l)*k + kk]) so each kk step is one
     // unit-stride load, broadcast a[i][kk], and accumulate — every
     // lane's dot still sums k-ascending in its own register, exactly
-    // like the scalar four-wide blocking.
+    // like the scalar four-wide blocking. Four A rows share each
+    // panel load, so four independent chains hide the add latency.
     std::vector<float> &store = packBuffer();
     const std::size_t j_wide = (W > 1) ? n - n % W : 0;
     for (std::size_t j = 0; j < j_wide; j += W) {
@@ -251,7 +289,29 @@ gemmTransposeBRows(const float *a, const float *b, float *c,
             for (std::size_t kk = 0; kk < k; ++kk)
                 panel[kk * W + l] = brow[kk];
         }
-        for (std::size_t i = r0; i < r1; ++i) {
+        std::size_t i = r0;
+        for (; i + 4 <= r1; i += 4) {
+            const float *a0 = a + (i + 0) * k;
+            const float *a1 = a + (i + 1) * k;
+            const float *a2 = a + (i + 2) * k;
+            const float *a3 = a + (i + 3) * k;
+            s::VecF acc0 = s::zero();
+            s::VecF acc1 = s::zero();
+            s::VecF acc2 = s::zero();
+            s::VecF acc3 = s::zero();
+            for (std::size_t kk = 0; kk < k; ++kk) {
+                const s::VecF bv = s::load(panel + kk * W);
+                acc0 = s::mulAdd(s::broadcast(a0[kk]), bv, acc0);
+                acc1 = s::mulAdd(s::broadcast(a1[kk]), bv, acc1);
+                acc2 = s::mulAdd(s::broadcast(a2[kk]), bv, acc2);
+                acc3 = s::mulAdd(s::broadcast(a3[kk]), bv, acc3);
+            }
+            s::store(c + (i + 0) * n + j, acc0);
+            s::store(c + (i + 1) * n + j, acc1);
+            s::store(c + (i + 2) * n + j, acc2);
+            s::store(c + (i + 3) * n + j, acc3);
+        }
+        for (; i < r1; ++i) {
             const float *arow = a + i * k;
             s::VecF acc = s::zero();
             for (std::size_t kk = 0; kk < k; ++kk)
@@ -480,6 +540,55 @@ fusedScatterScaledAddRows(const float *grad,
                 const float g = src[j] * norm;
                 dst[j] += g;
             }
+        }
+    }
+}
+
+void
+fusedLstmBackwardRows(const float *dh, const float *dc_in,
+                      const float *i, const float *f, const float *g,
+                      const float *o, const float *c_prev,
+                      const float *tanh_c, std::size_t r0,
+                      std::size_t r1, std::size_t h, float *dz,
+                      float *dc_prev)
+{
+    const s::VecF one = s::broadcast(1.0f);
+    for (std::size_t r = r0; r < r1; ++r) {
+        float *dzr = dz + r * 4 * h;
+        const std::size_t e = r * h;
+        std::size_t j = 0;
+        for (; j + W <= h; j += W) {
+            const std::size_t k = e + j;
+            const s::VecF dhv = s::load(dh + k);
+            const s::VecF iv = s::load(i + k);
+            const s::VecF fv = s::load(f + k);
+            const s::VecF gv = s::load(g + k);
+            const s::VecF ov = s::load(o + k);
+            const s::VecF t = s::load(tanh_c + k);
+            const s::VecF dc =
+                s::add(s::load(dc_in + k),
+                       s::mul(s::mul(dhv, ov),
+                              s::sub(one, s::mul(t, t))));
+            s::store(dzr + j, s::mul(s::mul(s::mul(dc, gv), iv),
+                                     s::sub(one, iv)));
+            s::store(dzr + h + j,
+                     s::mul(s::mul(s::mul(dc, s::load(c_prev + k)), fv),
+                            s::sub(one, fv)));
+            s::store(dzr + 2 * h + j,
+                     s::mul(s::mul(dc, iv), s::sub(one, s::mul(gv, gv))));
+            s::store(dzr + 3 * h + j, s::mul(s::mul(s::mul(dhv, t), ov),
+                                             s::sub(one, ov)));
+            s::store(dc_prev + k, s::mul(dc, fv));
+        }
+        for (; j < h; ++j) {
+            const std::size_t k = e + j;
+            const float t = tanh_c[k];
+            const float dc = dc_in[k] + (dh[k] * o[k]) * (1.0f - t * t);
+            dzr[j] = ((dc * g[k]) * i[k]) * (1.0f - i[k]);
+            dzr[h + j] = ((dc * c_prev[k]) * f[k]) * (1.0f - f[k]);
+            dzr[2 * h + j] = (dc * i[k]) * (1.0f - g[k] * g[k]);
+            dzr[3 * h + j] = ((dh[k] * t) * o[k]) * (1.0f - o[k]);
+            dc_prev[k] = dc * f[k];
         }
     }
 }

@@ -88,4 +88,11 @@ void fusedScatterScaledAddRows(const float *grad,
                                float *grad_x, std::size_t r0,
                                std::size_t r1);
 
+void fusedLstmBackwardRows(const float *dh, const float *dc_in,
+                           const float *i, const float *f,
+                           const float *g, const float *o,
+                           const float *c_prev, const float *tanh_c,
+                           std::size_t r0, std::size_t r1,
+                           std::size_t h, float *dz, float *dc_prev);
+
 } // namespace buffalo::tensor::kernels::wide
