@@ -21,7 +21,7 @@
 #include <thread>
 
 #include "bench_common.h"
-#include "nn/sage_model.h"
+#include "nn/gnn_model.h"
 #include "sampling/block_generator.h"
 #include "sampling/sampled_subgraph.h"
 #include "serve/serve_loop.h"
@@ -46,7 +46,7 @@ parityAtThreads(const graph::Dataset &data, std::size_t threads)
     config.feature_dim = data.featureDim();
     config.hidden_dim = 32;
     config.num_classes = data.numClasses();
-    nn::SageModel model(config, /*seed=*/7);
+    nn::GnnModel model(config, /*seed=*/7);
 
     sampling::NeighborSampler sampler({4, 6});
     util::Rng rng(99);
@@ -59,8 +59,7 @@ parityAtThreads(const graph::Dataset &data, std::size_t threads)
     auto mb = generator.generate(sg, locals);
     nn::Tensor feats = train::loadFeatures(data, mb.inputNodes());
 
-    nn::SageModel::ForwardCache cache;
-    nn::Tensor trained = model.forward(mb, feats, cache);
+    nn::Tensor trained = model.forward(mb, feats);
     nn::Tensor served = model.forwardInference(mb, feats);
     return trained.rows() == served.rows() &&
            trained.cols() == served.cols() &&

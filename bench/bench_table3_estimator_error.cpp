@@ -14,7 +14,7 @@
 #include "core/micro_batch_generator.h"
 #include "core/scheduler.h"
 #include "nn/loss.h"
-#include "nn/sage_model.h"
+#include "nn/gnn_model.h"
 #include "train/feature_loader.h"
 
 using namespace buffalo;
@@ -27,18 +27,17 @@ measurePeak(const graph::Dataset &data, const nn::ModelConfig &config,
             const sampling::MicroBatch &mb)
 {
     device::Device dev("probe", util::gib(16));
-    nn::SageModel model(config, 3, &dev.allocator());
+    nn::GnnModel model(config, 3, &dev.allocator());
     const std::uint64_t static_bytes = dev.allocator().bytesInUse();
     dev.allocator().resetPeak();
     nn::Tensor feats =
         train::loadFeatures(data, mb.inputNodes(), &dev.allocator());
-    nn::SageModel::ForwardCache cache;
     nn::Tensor logits =
-        model.forward(mb, feats, cache, &dev.allocator());
+        model.forward(mb, feats, &dev.allocator());
     auto labels = train::gatherLabels(data, mb.outputNodes());
     auto loss =
         nn::softmaxCrossEntropy(logits, labels, 0, &dev.allocator());
-    model.backward(cache, loss.grad_logits, &dev.allocator());
+    model.backward(loss.grad_logits, &dev.allocator());
     return dev.allocator().peakBytes() - static_bytes;
 }
 

@@ -101,7 +101,7 @@ main()
                 parity = "Buffalo only";
                 ++buffalo_only;
             }
-            table.addRow({data.name(), modelKindName(kind),
+            table.addRow({data.name(), nn::modelArchName(kind),
                           whole.text, buffalo.text, parity});
         }
     }

@@ -434,6 +434,16 @@ modelArchName(ModelArch arch)
     return "?";
 }
 
+ModelArch
+modelArchFromName(const std::string &name)
+{
+    for (ModelArch arch : {ModelArch::Sage, ModelArch::Gcn, ModelArch::Gat})
+        if (name == modelArchName(arch))
+            return arch;
+    throw InvalidArgument("modelArchFromName: unknown model '" + name +
+                          "'");
+}
+
 const char *
 aggregatorName(AggregatorKind kind)
 {

@@ -32,8 +32,11 @@ enum class ModelArch
     Gat,  ///< graph attention: per-head weight + attention vectors
 };
 
-/** Printable name of @p arch. */
+/** Printable name of @p arch ("sage", "gcn", "gat"). */
 const char *modelArchName(ModelArch arch);
+
+/** Parses an architecture name; the inverse of modelArchName(). */
+ModelArch modelArchFromName(const std::string &name);
 
 /** Parses an aggregator name ("mean", "pool", "lstm", "gcn"). */
 AggregatorKind aggregatorFromName(const std::string &name);
@@ -41,7 +44,7 @@ AggregatorKind aggregatorFromName(const std::string &name);
 /** Hyperparameters of a GNN model. */
 struct ModelConfig
 {
-    /** Architecture; set by the model constructors / trainers. */
+    /** Architecture the model builds its layers for. */
     ModelArch arch = ModelArch::Sage;
     AggregatorKind aggregator = AggregatorKind::Mean;
     /** Aggregation depth L (number of message-passing layers). */

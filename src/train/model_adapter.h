@@ -1,67 +1,28 @@
 /**
  * @file
- * A uniform handle over the concrete GNN models (GraphSAGE, GAT) so the
- * trainers and benches can switch architectures by configuration.
+ * The trainers' names for the model layer: one nn::GnnModel for every
+ * architecture, chosen by configuration.
  */
 #pragma once
 
 #include <memory>
 
-#include "nn/config.h"
-#include "nn/memory_model.h"
-#include "nn/parameter.h"
-#include "sampling/block.h"
+#include "nn/gnn_model.h"
 
 namespace buffalo::train {
 
 /** Which architecture to instantiate. */
-enum class ModelKind { Sage, Gat, Gcn };
+using ModelKind = nn::ModelArch;
 
-/** Printable name of @p kind. */
-const char *modelKindName(ModelKind kind);
+using nn::GnnModel;
 
-/** Architecture-agnostic training handle. */
-class GnnModel
+/** Instantiates @p config with its architecture set to @p kind. */
+inline std::unique_ptr<GnnModel>
+makeModel(ModelKind kind, nn::ModelConfig config, std::uint64_t seed,
+          nn::AllocationObserver *param_observer = nullptr)
 {
-  public:
-    virtual ~GnnModel() = default;
-
-    /**
-     * Forward pass; the activation cache is held internally until the
-     * matching backward() (one in flight at a time).
-     */
-    virtual nn::Tensor forward(const sampling::MicroBatch &mb,
-                               const nn::Tensor &input_features,
-                               nn::AllocationObserver *observer) = 0;
-
-    /**
-     * Forward-only pass for serving: bitwise-identical logits to
-     * forward(), but no activation cache is retained, so no
-     * backward() may follow and peak memory stays bounded by one
-     * layer's working set.
-     */
-    virtual nn::Tensor
-    forwardInference(const sampling::MicroBatch &mb,
-                     const nn::Tensor &input_features,
-                     nn::AllocationObserver *observer) = 0;
-
-    /** Backward for the last forward(); releases the cache. */
-    virtual void backward(const nn::Tensor &grad_logits,
-                          nn::AllocationObserver *observer) = 0;
-
-    /** Drops any held activation cache without a backward pass. */
-    virtual void clearCache() = 0;
-
-    /** The parameter owner (for zeroGrad / optimizers). */
-    virtual nn::Module &module() = 0;
-
-    /** The shared analytic cost model. */
-    virtual const nn::MemoryModel &memoryModel() const = 0;
-};
-
-/** Instantiates @p kind with the given config and seed. */
-std::unique_ptr<GnnModel> makeModel(
-    ModelKind kind, const nn::ModelConfig &config, std::uint64_t seed,
-    nn::AllocationObserver *param_observer = nullptr);
+    config.arch = kind;
+    return std::make_unique<GnnModel>(config, seed, param_observer);
+}
 
 } // namespace buffalo::train

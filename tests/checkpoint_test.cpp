@@ -9,8 +9,7 @@
 #include <sstream>
 
 #include "nn/checkpoint.h"
-#include "nn/gcn_model.h"
-#include "nn/sage_model.h"
+#include "nn/gnn_model.h"
 #include "tensor/ops.h"
 #include "util/errors.h"
 
@@ -55,23 +54,20 @@ TEST(Checkpoint, RoundTripRestoresOutputs)
     tensor::fillUniform(feats, 1.0f, rng);
     auto mb = tinyBatch();
 
-    SageModel original(smallConfig(), /*seed=*/11);
-    SageModel::ForwardCache c1;
-    Tensor expected = original.forward(mb, feats, c1);
+    GnnModel original(smallConfig(), /*seed=*/11);
+    Tensor expected = original.forward(mb, feats);
 
     std::stringstream buffer;
     saveCheckpoint(buffer, original);
 
     // A model with DIFFERENT random init must reproduce the original
     // outputs exactly after loading.
-    SageModel restored(smallConfig(), /*seed=*/99);
-    SageModel::ForwardCache c2;
-    Tensor before = restored.forward(mb, feats, c2);
+    GnnModel restored(smallConfig(), /*seed=*/99);
+    Tensor before = restored.forward(mb, feats);
     ASSERT_GT(tensor::maxAbsDiff(before, expected), 1e-6);
 
     loadCheckpoint(buffer, restored);
-    SageModel::ForwardCache c3;
-    Tensor after = restored.forward(mb, feats, c3);
+    Tensor after = restored.forward(mb, feats);
     EXPECT_EQ(tensor::maxAbsDiff(after, expected), 0.0);
 }
 
@@ -79,8 +75,8 @@ TEST(Checkpoint, WorksForEveryAggregator)
 {
     for (auto kind : {AggregatorKind::Mean, AggregatorKind::Pool,
                       AggregatorKind::Lstm}) {
-        SageModel a(smallConfig(kind), 1);
-        SageModel b(smallConfig(kind), 2);
+        GnnModel a(smallConfig(kind), 1);
+        GnnModel b(smallConfig(kind), 2);
         std::stringstream buffer;
         saveCheckpoint(buffer, a);
         loadCheckpoint(buffer, b);
@@ -97,35 +93,37 @@ TEST(Checkpoint, WorksForEveryAggregator)
 
 TEST(Checkpoint, RejectsArchitectureMismatch)
 {
-    SageModel sage(smallConfig(), 1);
+    GnnModel sage(smallConfig(), 1);
     std::stringstream buffer;
     saveCheckpoint(buffer, sage);
 
-    GcnModel gcn(smallConfig(), 1); // different parameter names
+    ModelConfig gcn_config = smallConfig();
+    gcn_config.arch = ModelArch::Gcn;
+    GnnModel gcn(gcn_config, 1); // different parameter names
     EXPECT_THROW(loadCheckpoint(buffer, gcn), InvalidArgument);
 }
 
 TEST(Checkpoint, RejectsShapeMismatch)
 {
-    SageModel narrow(smallConfig(), 1);
+    GnnModel narrow(smallConfig(), 1);
     std::stringstream buffer;
     saveCheckpoint(buffer, narrow);
 
     ModelConfig wide_config = smallConfig();
     wide_config.hidden_dim = 16;
-    SageModel wide(wide_config, 1);
+    GnnModel wide(wide_config, 1);
     EXPECT_THROW(loadCheckpoint(buffer, wide), InvalidArgument);
 }
 
 TEST(Checkpoint, ShapeMismatchErrorNamesBothShapes)
 {
-    SageModel narrow(smallConfig(), 1);
+    GnnModel narrow(smallConfig(), 1);
     std::stringstream buffer;
     saveCheckpoint(buffer, narrow);
 
     ModelConfig wide_config = smallConfig();
     wide_config.hidden_dim = 16;
-    SageModel wide(wide_config, 1);
+    GnnModel wide(wide_config, 1);
     try {
         loadCheckpoint(buffer, wide);
         FAIL() << "expected InvalidArgument";
@@ -147,7 +145,7 @@ TEST(Checkpoint, RejectsExtraParameters)
     // parameters: every model parameter matches, plus one orphan
     // entry. The load must fail naming the orphan rather than
     // silently dropping it.
-    SageModel model(smallConfig(), 1);
+    GnnModel model(smallConfig(), 1);
     std::stringstream buffer;
     saveCheckpoint(buffer, model);
     std::string bytes = buffer.str();
@@ -185,13 +183,13 @@ TEST(Checkpoint, RejectsExtraParameters)
 
 TEST(Checkpoint, FailedLoadLeavesModelUntouched)
 {
-    SageModel narrow(smallConfig(), 1);
+    GnnModel narrow(smallConfig(), 1);
     std::stringstream buffer;
     saveCheckpoint(buffer, narrow);
 
     ModelConfig wide_config = smallConfig();
     wide_config.hidden_dim = 16;
-    SageModel wide(wide_config, /*seed=*/7);
+    GnnModel wide(wide_config, /*seed=*/7);
     std::vector<Tensor> before;
     for (Parameter *param : wide.parameters())
         before.push_back(param->value());
@@ -209,7 +207,7 @@ TEST(Checkpoint, FailedLoadLeavesModelUntouched)
 
 TEST(Checkpoint, RejectsCorruption)
 {
-    SageModel model(smallConfig(), 1);
+    GnnModel model(smallConfig(), 1);
     std::stringstream buffer;
     saveCheckpoint(buffer, model);
     std::string bytes = buffer.str();
@@ -223,7 +221,7 @@ TEST(Checkpoint, RejectsCorruption)
 
 TEST(Checkpoint, MissingFileThrowsNotFound)
 {
-    SageModel model(smallConfig(), 1);
+    GnnModel model(smallConfig(), 1);
     EXPECT_THROW(loadCheckpointFile("/nonexistent/model.ckpt", model),
                  NotFound);
 }

@@ -12,7 +12,7 @@
 #include "device/device.h"
 #include "graph/datasets.h"
 #include "nn/loss.h"
-#include "nn/sage_model.h"
+#include "nn/gnn_model.h"
 #include "train/feature_loader.h"
 #include "util/format.h"
 #include "util/rng.h"
@@ -161,18 +161,17 @@ measureMicroBatchPeak(const EstSetup &setup,
                       const sampling::MicroBatch &mb)
 {
     device::Device dev("gpu", util::gib(8));
-    nn::SageModel sage(setup.config, 3, &dev.allocator());
+    nn::GnnModel sage(setup.config, 3, &dev.allocator());
     const std::uint64_t static_bytes = dev.allocator().bytesInUse();
     dev.allocator().resetPeak();
     nn::Tensor feats = train::loadFeatures(setup.data, mb.inputNodes(),
                                            &dev.allocator());
-    nn::SageModel::ForwardCache cache;
     nn::Tensor logits =
-        sage.forward(mb, feats, cache, &dev.allocator());
+        sage.forward(mb, feats, &dev.allocator());
     auto labels = train::gatherLabels(setup.data, mb.outputNodes());
     auto loss =
         nn::softmaxCrossEntropy(logits, labels, 0, &dev.allocator());
-    sage.backward(cache, loss.grad_logits, &dev.allocator());
+    sage.backward(loss.grad_logits, &dev.allocator());
     return dev.allocator().peakBytes() - static_bytes;
 }
 

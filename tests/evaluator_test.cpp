@@ -96,7 +96,7 @@ TEST(Evaluator, WorksForGcnAndGat)
         util::Rng rng(5);
         auto stats = evaluate(trainer, data, data.trainNodes(), rng);
         EXPECT_EQ(stats.nodes, data.trainNodes().size())
-            << modelKindName(kind);
+            << nn::modelArchName(kind);
     }
 }
 

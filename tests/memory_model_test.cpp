@@ -11,7 +11,7 @@
 #include "graph/datasets.h"
 #include "nn/loss.h"
 #include "nn/memory_model.h"
-#include "nn/sage_model.h"
+#include "nn/gnn_model.h"
 #include "sampling/block_generator.h"
 #include "train/feature_loader.h"
 #include "util/format.h"
@@ -88,7 +88,7 @@ TEST(MemoryModel, WeightBytesMatchRealModel)
                       AggregatorKind::Lstm}) {
         ModelConfig config = smallConfig(data, kind);
         MemoryModel analytic(config);
-        SageModel model(config, 1);
+        GnnModel model(config, 1);
         std::uint64_t real = 0;
         for (Parameter *p : model.parameters())
             real += p->bytes();
@@ -113,18 +113,17 @@ TEST_P(MemoryModelCalibration, TracksMeasuredPeak)
     sampling::MicroBatch mb = sampleBatch(data, 2, 64, 7);
 
     device::Device dev("gpu", util::gib(4));
-    SageModel model(config, 3, &dev.allocator());
+    GnnModel model(config, 3, &dev.allocator());
     dev.allocator().resetPeak();
     const std::uint64_t baseline = dev.allocator().bytesInUse();
 
     Tensor feats =
         train::loadFeatures(data, mb.inputNodes(), &dev.allocator());
-    SageModel::ForwardCache cache;
-    Tensor logits = model.forward(mb, feats, cache, &dev.allocator());
+    Tensor logits = model.forward(mb, feats, &dev.allocator());
     auto labels = train::gatherLabels(data, mb.outputNodes());
     auto loss = softmaxCrossEntropy(logits, labels, 0,
                                     &dev.allocator());
-    model.backward(cache, loss.grad_logits, &dev.allocator());
+    model.backward(loss.grad_logits, &dev.allocator());
 
     const std::uint64_t measured =
         dev.allocator().peakBytes() - baseline;

@@ -2,19 +2,17 @@
  * @file
  * Numerical gradient checks (central differences) for every
  * differentiable module: Linear, LSTM cell, all aggregators, and the
- * full GraphSAGE / GAT models through the cross-entropy loss. These
+ * full GraphSAGE / GCN / GAT models through the cross-entropy loss. These
  * anchor the convergence-parity experiments (Table IV, Fig. 17) — if
  * backward passes are right, gradient accumulation equivalence follows.
  */
 #include <gtest/gtest.h>
 
 #include "nn/aggregators.h"
-#include "nn/gat_model.h"
-#include "nn/gcn_model.h"
+#include "nn/gnn_model.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/lstm.h"
-#include "nn/sage_model.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -250,6 +248,7 @@ TEST_P(ModelGradCheck, ParamsThroughCrossEntropy)
     const ModelCase &param = GetParam();
     util::Rng rng(4);
     ModelConfig config;
+    config.arch = param.arch;
     config.aggregator = param.aggregator;
     config.num_layers = 2;
     config.feature_dim = 4;
@@ -261,48 +260,25 @@ TEST_P(ModelGradCheck, ParamsThroughCrossEntropy)
     ops::fillUniform(feats, 0.8f, rng);
     std::vector<std::int32_t> labels = {1, 2};
 
-    auto check_model = [&](auto &model) {
-        auto loss_of = [&]() {
-            typename std::decay_t<decltype(model)>::ForwardCache cache;
-            Tensor logits = model.forward(mb, feats, cache);
-            return softmaxCrossEntropy(logits, labels).loss;
-        };
-
-        typename std::decay_t<decltype(model)>::ForwardCache cache;
-        Tensor logits = model.forward(mb, feats, cache);
-        auto loss = softmaxCrossEntropy(logits, labels);
-        model.zeroGrad();
-        model.backward(cache, loss.grad_logits);
-
-        for (Parameter *p : model.parameters()) {
-            Tensor &value = p->value();
-            const Tensor &grad = p->grad();
-            const std::size_t stride =
-                std::max<std::size_t>(1, value.size() / 7);
-            for (std::size_t k = 0; k < value.size(); k += stride)
-                checkCoordinate(value.data()[k], grad.data()[k],
-                                loss_of,
-                                p->name() + "[" +
-                                    std::to_string(k) + "]");
-        }
+    GnnModel model(config, 99);
+    auto loss_of = [&]() {
+        Tensor logits = model.forwardInference(mb, feats);
+        return softmaxCrossEntropy(logits, labels).loss;
     };
 
-    switch (param.arch) {
-      case ModelArch::Gat: {
-          GatModel model(config, 99);
-          check_model(model);
-          break;
-      }
-      case ModelArch::Gcn: {
-          GcnModel model(config, 99);
-          check_model(model);
-          break;
-      }
-      case ModelArch::Sage: {
-          SageModel model(config, 99);
-          check_model(model);
-          break;
-      }
+    Tensor logits = model.forward(mb, feats);
+    auto loss = softmaxCrossEntropy(logits, labels);
+    model.zeroGrad();
+    model.backward(loss.grad_logits);
+
+    for (Parameter *p : model.parameters()) {
+        Tensor &value = p->value();
+        const Tensor &grad = p->grad();
+        const std::size_t stride =
+            std::max<std::size_t>(1, value.size() / 7);
+        for (std::size_t k = 0; k < value.size(); k += stride)
+            checkCoordinate(value.data()[k], grad.data()[k], loss_of,
+                            p->name() + "[" + std::to_string(k) + "]");
     }
 }
 

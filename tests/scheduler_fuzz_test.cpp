@@ -19,7 +19,7 @@
 #include "core/scheduler.h"
 #include "graph/generators.h"
 #include "nn/loss.h"
-#include "nn/sage_model.h"
+#include "nn/gnn_model.h"
 #include "tensor/ops.h"
 #include "util/format.h"
 #include "util/rng.h"
@@ -141,7 +141,7 @@ TEST_P(SchedulerFuzz, InvariantsHoldOnRandomInputs)
                 heaviest = i;
         const auto &mb = batches[heaviest];
 
-        nn::SageModel sage(config, 5);
+        nn::GnnModel sage(config, 5);
         nn::Tensor feats =
             nn::Tensor::zeros(mb.inputNodes().size(),
                               config.feature_dim);
@@ -149,14 +149,13 @@ TEST_P(SchedulerFuzz, InvariantsHoldOnRandomInputs)
         device::Device probe("probe", util::gib(8));
         probe.allocator().resetPeak();
         // Track activations only (weights live off-device here).
-        nn::SageModel::ForwardCache cache;
         nn::Tensor feats_dev = feats.clone(&probe.allocator());
         nn::Tensor logits =
-            sage.forward(mb, feats_dev, cache, &probe.allocator());
+            sage.forward(mb, feats_dev, &probe.allocator());
         std::vector<std::int32_t> labels(mb.outputNodes().size(), 0);
         auto loss = nn::softmaxCrossEntropy(logits, labels, 0,
                                             &probe.allocator());
-        sage.backward(cache, loss.grad_logits, &probe.allocator());
+        sage.backward(loss.grad_logits, &probe.allocator());
         EXPECT_LT(probe.allocator().peakBytes(),
                   2 * options.mem_constraint)
             << "heaviest micro-batch wildly exceeded its estimate";

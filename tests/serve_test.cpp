@@ -12,9 +12,7 @@
 #include <future>
 #include <vector>
 
-#include "nn/gat_model.h"
-#include "nn/gcn_model.h"
-#include "nn/sage_model.h"
+#include "nn/gnn_model.h"
 #include "serve/admission_queue.h"
 #include "serve/batcher.h"
 #include "serve/serve_loop.h"
@@ -241,8 +239,7 @@ datasetBatch(const graph::Dataset &data, std::size_t seeds_count,
 }
 
 /** Bitwise comparison of forward() and forwardInference() for one
- *  model type at one kernel thread count. */
-template <typename Model>
+ *  architecture at one kernel thread count. */
 void
 expectParity(const nn::ModelConfig &config, std::size_t threads)
 {
@@ -254,14 +251,13 @@ expectParity(const nn::ModelConfig &config, std::size_t threads)
     nn::ModelConfig sized = config;
     sized.feature_dim = data.featureDim();
     sized.num_classes = data.numClasses();
-    Model model(sized, /*seed=*/5);
+    nn::GnnModel model(sized, /*seed=*/5);
 
     graph::NodeList inputs;
     auto mb = datasetBatch(data, 24, &inputs);
     nn::Tensor feats = train::loadFeatures(data, inputs);
 
-    typename Model::ForwardCache cache;
-    nn::Tensor trained = model.forward(mb, feats, cache);
+    nn::Tensor trained = model.forward(mb, feats);
     nn::Tensor served = model.forwardInference(mb, feats);
     ASSERT_EQ(trained.rows(), served.rows());
     ASSERT_EQ(trained.cols(), served.cols());
@@ -278,16 +274,18 @@ TEST(ForwardInference, SageBitwiseParity)
     nn::ModelConfig config = serveModelConfig();
     for (std::size_t threads : {1, 4}) {
         config.aggregator = nn::AggregatorKind::Mean;
-        expectParity<nn::SageModel>(config, threads);
+        expectParity(config, threads);
         config.aggregator = nn::AggregatorKind::Lstm;
-        expectParity<nn::SageModel>(config, threads);
+        expectParity(config, threads);
     }
 }
 
 TEST(ForwardInference, GcnBitwiseParity)
 {
+    nn::ModelConfig config = serveModelConfig();
+    config.arch = nn::ModelArch::Gcn;
     for (std::size_t threads : {1, 4})
-        expectParity<nn::GcnModel>(serveModelConfig(), threads);
+        expectParity(config, threads);
 }
 
 TEST(ForwardInference, GatBitwiseParity)
@@ -296,9 +294,10 @@ TEST(ForwardInference, GatBitwiseParity)
     // divide every layer's output width); single-head still exercises
     // the full attention path.
     nn::ModelConfig config = serveModelConfig();
+    config.arch = nn::ModelArch::Gat;
     config.num_heads = 1;
     for (std::size_t threads : {1, 4})
-        expectParity<nn::GatModel>(config, threads);
+        expectParity(config, threads);
 }
 
 // --- Server end-to-end --------------------------------------------------

@@ -145,15 +145,8 @@ main(int argc, char **argv)
                     data.numClasses());
 
         serve::ServeOptions options;
-        const std::string model = flags.getString("model", "sage");
-        if (model == "sage")
-            options.model_kind = train::ModelKind::Sage;
-        else if (model == "gcn")
-            options.model_kind = train::ModelKind::Gcn;
-        else if (model == "gat")
-            options.model_kind = train::ModelKind::Gat;
-        else
-            throw InvalidArgument("unknown --model '" + model + "'");
+        options.model_kind =
+            nn::modelArchFromName(flags.getString("model", "sage"));
         options.model.aggregator = nn::aggregatorFromName(
             flags.getString("aggregator", "mean"));
         options.model.num_layers =
@@ -212,7 +205,7 @@ main(int argc, char **argv)
             obs::eventLog()
                 .event(obs::names::kEvRunBegin)
                 .field("dataset", data.name())
-                .field("model", model)
+                .field("model", nn::modelArchName(options.model_kind))
                 .field("qps", qps)
                 .field("clients",
                        static_cast<std::uint64_t>(clients))

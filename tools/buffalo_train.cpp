@@ -182,15 +182,8 @@ main(int argc, char **argv)
         }
 
         train::TrainerOptions options;
-        const std::string model = flags.getString("model", "sage");
-        if (model == "sage")
-            options.model_kind = train::ModelKind::Sage;
-        else if (model == "gcn")
-            options.model_kind = train::ModelKind::Gcn;
-        else if (model == "gat")
-            options.model_kind = train::ModelKind::Gat;
-        else
-            throw InvalidArgument("unknown --model '" + model + "'");
+        options.model_kind =
+            nn::modelArchFromName(flags.getString("model", "sage"));
 
         options.model.aggregator = nn::aggregatorFromName(
             flags.getString("aggregator", "mean"));
