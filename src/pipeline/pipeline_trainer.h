@@ -59,19 +59,7 @@ class PipelineTrainer : public train::BuffaloTrainer
         util::Rng &rng) override;
 
   private:
-    /** Scheduler options with capacity/reserved bytes filled in. */
-    core::SchedulerOptions resolvedSchedulerOptions() const;
-
-    /**
-     * Trains one prepared batch (all micro-batches + optimizer step),
-     * with the serial trainer's OOM-reschedule-and-retry semantics;
-     * retries fall back to inline (uncached) preparation.
-     */
-    train::IterationStats trainPrepared(PreparedBatch &batch,
-                                        const graph::Dataset &dataset);
-
     std::unique_ptr<FeatureCache> cache_;
-    core::MicroBatchGenerator generator_;
     bool hot_set_pinned_ = false;
 };
 

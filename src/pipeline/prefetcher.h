@@ -35,6 +35,7 @@
 #include "sampling/sampled_subgraph.h"
 #include "tensor/tensor.h"
 #include "train/report.h"
+#include "train/trainer.h"
 #include "util/rng.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -44,6 +45,8 @@ namespace buffalo::pipeline {
 
 /** Pipeline knobs now live in TrainerOptions (train/report.h). */
 using train::PipelineOptions;
+/** What the trainer consumes per micro-batch (train/trainer.h). */
+using train::PreparedMicroBatch;
 
 /**
  * Micro-batch generator tuned for running inside the pipeline: block
@@ -54,18 +57,6 @@ using train::PipelineOptions;
  * the shared pool, identical output bytes for any grain).
  */
 core::MicroBatchGenerator makePipelineGenerator();
-
-/** One micro-batch with its prefetched inputs. */
-struct PreparedMicroBatch
-{
-    sampling::MicroBatch mb;
-    /** Host-staged features (numeric mode; empty in cost model). */
-    tensor::Tensor staged_features;
-    /** Input rows served by the feature cache. */
-    std::uint64_t cached_rows = 0;
-    /** Host->device bytes those rows avoid re-transferring. */
-    std::uint64_t saved_transfer_bytes = 0;
-};
 
 /** One fully prepared training batch, in submission order. */
 struct PreparedBatch
