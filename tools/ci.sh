@@ -5,15 +5,17 @@
 #   1. Release build + full test suite + lint leg (buffalo_lint over
 #      src/ and the ci.sh expectation lists) + observability smoke
 #      epoch gated by obs_validate (trace, metrics, JSONL run log,
-#      memory-audit error bound) + serving smoke (short fixed-QPS
-#      buffalo_serve run asserting nonzero goodput and zero errors,
-#      gated by obs_validate `@serve`) + buffalo_profile critical-
-#      path gates over both smokes' artifacts (all stages present,
-#      dominant stage identified, overlap efficiency in (0, 1]) +
-#      bench-smoke, bench-kernels, bench-fig12, bench-fig11,
-#      bench-serve and bench-pipeline regression legs gated by
-#      bench_diff against the committed baselines. Both smokes enable
-#      the feature cache with the presample policy and expect the
+#      memory-audit error bound) + one-epoch GCN and GAT smokes
+#      gated on the `@core` run-log events + serving smoke (short
+#      fixed-QPS buffalo_serve run asserting nonzero goodput and zero
+#      errors, gated by obs_validate `@serve`) + buffalo_profile
+#      critical-path gates over the observability and serving smokes'
+#      artifacts (all stages present, dominant stage identified,
+#      overlap efficiency in (0, 1]) + bench-smoke, bench-kernels,
+#      bench-fig12, bench-fig11, bench-serve and bench-pipeline
+#      regression legs gated by bench_diff against the committed
+#      baselines. The observability and serving smokes enable the
+#      feature cache with the presample policy and expect the
 #      `@cache` observability names.
 #   2. Scalar build + tests with -DBUFFALO_SIMD=OFF: the wide-ISA
 #      kernel path is compiled out, so the dispatch must fall back to
@@ -102,6 +104,21 @@ mkdir -p "${obs_dir}"
     --json-out "${obs_dir}/profile.json" \
     --check --expect-stages \
     "pipeline.sample,pipeline.build,pipeline.feature,train.iteration"
+
+echo "=== GCN and GAT smoke epochs ==="
+# The smoke above trains GraphSAGE only; one serial epoch of each other
+# architecture drives the same layer-stack model and scheduled-batch
+# runner through every layer op, gated on the core run-log events.
+for model in gcn gat; do
+    "${prefix}-release/tools/buffalo_train" \
+        --dataset arxiv --scale 0.1 --epochs 1 --batch-size 256 \
+        --model "${model}" --hidden 32 --budget-mb 16 \
+        --kernel-threads 2 \
+        --run-log "${obs_dir}/run-${model}.jsonl"
+    "${prefix}-release/tools/obs_validate" \
+        --run-log "${obs_dir}/run-${model}.jsonl" \
+        --expect-events "@core"
+done
 
 echo "=== Serving smoke ==="
 serve_dir="${prefix}-release/serve-smoke"
