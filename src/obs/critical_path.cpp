@@ -58,23 +58,6 @@ inferStageOrder(const std::vector<CpSpan> &spans,
     return order;
 }
 
-/** Wall time of the pipeline recurrence under per-stage scales. */
-double
-modeledWall(const std::vector<std::vector<double>> &durations,
-            const std::vector<double> &scales)
-{
-    const std::size_t num_stages = scales.size();
-    std::vector<double> t(num_stages, 0.0);
-    for (const std::vector<double> &item : durations) {
-        for (std::size_t s = 0; s < num_stages; ++s) {
-            const double d = s < item.size() ? item[s] : 0.0;
-            const double upstream = s > 0 ? t[s - 1] : 0.0;
-            t[s] = std::max(t[s], upstream) + d * scales[s];
-        }
-    }
-    return num_stages == 0 ? 0.0 : t[num_stages - 1];
-}
-
 void
 addWhatIfs(CriticalPathReport *report,
            const std::vector<std::string> &stage_order,
@@ -94,9 +77,13 @@ addWhatIfs(CriticalPathReport *report,
     };
     auto add = [&](const std::string &name,
                    const std::vector<double> &scales) {
+        std::vector<std::vector<double>> scaled = durations;
+        for (std::vector<double> &item : scaled)
+            for (std::size_t s = 0; s < item.size(); ++s)
+                item[s] *= scales[s];
         CpWhatIf whatif;
         whatif.name = name;
-        whatif.wall_us = modeledWall(durations, scales);
+        whatif.wall_us = pipelineTimeline(scaled, num_stages).wall();
         whatif.speedup = whatif.wall_us > 0.0
                              ? report->wall_us / whatif.wall_us
                              : 0.0;
@@ -123,6 +110,32 @@ addWhatIfs(CriticalPathReport *report,
 }
 
 } // namespace
+
+PipelineTimeline
+pipelineTimeline(const std::vector<std::vector<double>> &durations,
+                 std::size_t num_stages, std::size_t window)
+{
+    PipelineTimeline timeline;
+    timeline.start.resize(durations.size() * num_stages);
+    timeline.end.resize(durations.size() * num_stages);
+    for (std::size_t i = 0; i < durations.size(); ++i) {
+        const std::vector<double> &item = durations[i];
+        const std::size_t row = i * num_stages;
+        for (std::size_t s = 0; s < num_stages; ++s) {
+            const double d = s < item.size() ? item[s] : 0.0;
+            const double same_stage =
+                i > 0 ? timeline.end[row - num_stages + s] : 0.0;
+            double upstream = 0.0;
+            if (s > 0)
+                upstream = timeline.end[row + s - 1];
+            else if (window > 0 && i >= window)
+                upstream = timeline.end[(i - window + 1) * num_stages - 1];
+            timeline.start[row + s] = std::max(same_stage, upstream);
+            timeline.end[row + s] = timeline.start[row + s] + d;
+        }
+    }
+    return timeline;
+}
 
 double
 overlapEfficiency(double serial_seconds, double wall_seconds)
@@ -306,20 +319,16 @@ analyzeModeledPipeline(
     // decomposition of the model and of a recorded trace share one
     // code path.
     const std::size_t num_stages = stage_order.size();
+    const PipelineTimeline timeline =
+        pipelineTimeline(item_stage_seconds, num_stages);
     std::vector<CpSpan> spans;
-    std::vector<double> t(num_stages, 0.0);
     for (std::size_t i = 0; i < item_stage_seconds.size(); ++i) {
-        const std::vector<double> &item = item_stage_seconds[i];
         for (std::size_t s = 0; s < num_stages; ++s) {
-            const double d = s < item.size() ? item[s] : 0.0;
-            const double upstream = s > 0 ? t[s - 1] : 0.0;
-            const double start = std::max(t[s], upstream);
-            t[s] = start + d;
             CpSpan span;
             span.stage = stage_order[s];
             span.item = static_cast<std::uint64_t>(i) + 1;
-            span.start_us = start * 1e6;
-            span.end_us = t[s] * 1e6;
+            span.start_us = timeline.start[i * num_stages + s] * 1e6;
+            span.end_us = timeline.end[i * num_stages + s] * 1e6;
             span.tid = static_cast<std::uint32_t>(s);
             spans.push_back(std::move(span));
         }

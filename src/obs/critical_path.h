@@ -19,9 +19,19 @@
  * gap where the next critical span had not started yet — queue wait
  * or startup); self times + idle always sum to the wall exactly.
  *
- * What-if bounds re-run the classic pipeline recurrence
- *   t[i][s] = max(t[i-1][s], t[i][s-1]) + d[i][s] * scale[s]
- * over the measured per-item stage durations: scale 1 everywhere is
+ * One pipeline recurrence, pipelineTimeline(), models every overlap
+ * this repo reports:
+ *   t[i][s] = max(t[i-1][s], t[i][s-1]) + d[i][s]
+ * where stage 0 of item i also waits for the last stage of item
+ * i - window (bounded queues; window 0 = infinite buffers). The
+ * trainer's per-iteration pipelined_seconds is its window-2 case over
+ * {prep, device} per micro-batch; the PipelineTrainer's epoch figure
+ * runs it over {sample, build, feature, device} per batch with the
+ * queue capacities as the window; the what-if bounds and
+ * analyzeModeledPipeline run it unwindowed.
+ *
+ * What-if bounds re-run the recurrence over the measured per-item
+ * stage durations, each scaled per stage first: scale 1 everywhere is
  * the perfect-overlap bound (no queue gating, infinite buffers);
  * scaling the feature stage by zeroCacheMissScale(hit_rate) models a
  * fully-warm feature cache; scaling the build stage by 1/N models an
@@ -145,6 +155,26 @@ CriticalPathReport analyzeModeledPipeline(
     const std::vector<std::string> &stage_order,
     const std::vector<std::vector<double>> &item_stage_seconds,
     const CpOptions &options = {});
+
+/** Every item's stage intervals, item-major: entry i * num_stages + s
+ *  is item i in stage s. */
+struct PipelineTimeline
+{
+    std::vector<double> start;
+    std::vector<double> end;
+
+    /** End of the last item's last stage; 0 for no items. */
+    double wall() const { return end.empty() ? 0.0 : end.back(); }
+};
+
+/**
+ * Runs the pipeline recurrence (file comment) over @p durations: row
+ * i holds item i's non-negative seconds per stage, missing stages
+ * count as 0. At most @p window items are in flight; 0 = no limit.
+ */
+PipelineTimeline pipelineTimeline(
+    const std::vector<std::vector<double>> &durations,
+    std::size_t num_stages, std::size_t window = 0);
 
 /** serial/wall capped to [0, 1]; 0 when either input is <= 0. */
 double overlapEfficiency(double serial_seconds, double wall_seconds);

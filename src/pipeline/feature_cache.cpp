@@ -164,11 +164,4 @@ FeatureCache::stats() const
     return s;
 }
 
-void
-FeatureCache::resetCounters()
-{
-    util::MutexLock lock(mutex_);
-    hits_ = misses_ = insertions_ = evictions_ = 0;
-}
-
 } // namespace buffalo::pipeline

@@ -137,9 +137,6 @@ class FeatureCache
     /** Counter snapshot. */
     FeatureCacheStats stats() const BUFFALO_EXCLUDES(mutex_);
 
-    /** Zeroes hit/miss/insert/evict counters; contents stay resident. */
-    void resetCounters() BUFFALO_EXCLUDES(mutex_);
-
   private:
     struct Entry
     {

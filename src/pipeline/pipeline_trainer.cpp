@@ -1,7 +1,6 @@
 #include "pipeline/pipeline_trainer.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "obs/audit.h"
 #include "obs/critical_path.h"
@@ -78,8 +77,6 @@ PipelineTrainer::trainEpochImpl(
     const graph::Dataset &dataset,
     const std::vector<graph::NodeList> &batches, util::Rng &rng)
 {
-    train::EpochReport report;
-    report.pipelined = true;
     if (cache_->enabled() && !hot_set_pinned_) {
         // The policy is built lazily on the first epoch — the
         // presample pass needs the dataset, which the constructor
@@ -112,25 +109,11 @@ PipelineTrainer::trainEpochImpl(
     // queues its probes read are torn down.
     obs::QueueDepthSampler depth_sampler(prefetcher.depthProbes());
 
-    // 4-lane pipeline schedule (sample | build | feature | device):
-    // lane l of batch i starts when lane l finished batch i-1 AND lane
-    // l-1 finished batch i. The sampling lane is additionally gated so
-    // at most `window` batches are in flight — the queue capacities.
-    const std::size_t window =
-        3 * static_cast<std::size_t>(
-                std::max(1, options_.pipeline.prefetch_depth)) +
-        3;
-    double t_sample = 0.0, t_build = 0.0, t_feature = 0.0,
-           t_device = 0.0;
-    std::deque<double> consumed_at;
     /** Per-batch {sample, build, feature, device} durations feeding
-     *  the critical-path model. */
+     *  the overlap recurrence and the critical-path model. */
     std::vector<std::vector<double>> cp_rows;
 
-    const std::uint64_t bytes0 = device_.transferredBytes();
-    const std::uint64_t saved0 = device_.transferSavedBytes();
-    util::StopWatch wall;
-
+    train::EpochFold fold(device_);
     while (auto batch = prefetcher.next()) {
         const double device_before = device_.totalSeconds();
         util::StopWatch train_watch;
@@ -145,65 +128,30 @@ PipelineTrainer::trainEpochImpl(
         obs::metrics()
             .histogram(obs::names::kHistQueueReadyServiceMs)
             .add(train_watch.seconds() * 1e3);
-        const double device_delta =
-            device_.totalSeconds() - device_before;
-
-        report.loss_sum += stats.loss;
-        report.correct += stats.correct;
-        report.outputs += stats.num_outputs;
-        report.num_micro_batches += stats.num_micro_batches;
-        report.epoch_seconds += stats.endToEndSeconds();
-        report.phases.merge(stats.phases);
-        report.peak_device_bytes = std::max(report.peak_device_bytes,
-                                            stats.peak_device_bytes);
-        for (const obs::GroupMemRecord &record : stats.group_audit)
-            report.mem_audit.add(record);
-
-        const double gate =
-            consumed_at.size() >= window
-                ? consumed_at[consumed_at.size() - window]
-                : 0.0;
-        t_sample =
-            std::max(t_sample, gate) + batch->sample_seconds;
-        t_build = std::max(t_sample, t_build) + batch->build_seconds;
-        t_feature =
-            std::max(t_build, t_feature) + batch->feature_seconds;
-        t_device = std::max(t_feature, t_device) + device_delta;
-        consumed_at.push_back(t_device);
-
-        report.prep_seconds += batch->prepSeconds();
-        report.device_seconds += device_delta;
-        report.serial_seconds += batch->prepSeconds() + device_delta;
-        cp_rows.push_back({batch->sample_seconds,
-                           batch->build_seconds,
-                           batch->feature_seconds, device_delta});
-
+        fold.add(stats);
+        cp_rows.push_back({batch->sample_seconds, batch->build_seconds,
+                           batch->feature_seconds,
+                           device_.totalSeconds() - device_before});
         prefetcher.release(*batch);
-        ++report.num_batches;
     }
+    train::EpochReport report = fold.finish();
+    report.pipelined = true;
+    report.stages = prefetcher.stats();
 
-    report.pipelined_seconds = t_device;
-    report.wall_seconds = wall.seconds();
-    report.transfer_bytes = device_.transferredBytes() - bytes0;
-    report.transfer_saved_bytes =
-        device_.transferSavedBytes() - saved0;
-    report.mean_loss = report.num_batches == 0
-                           ? 0.0
-                           : report.loss_sum / report.num_batches;
-    report.accuracy =
-        report.outputs == 0
-            ? 0.0
-            : static_cast<double>(report.correct) /
-                  static_cast<double>(report.outputs);
-
-    const PrefetcherStats stages = prefetcher.stats();
-    report.stages.sample_busy_seconds = stages.sample_busy_seconds;
-    report.stages.build_busy_seconds = stages.build_busy_seconds;
-    report.stages.feature_busy_seconds = stages.feature_busy_seconds;
-    report.stages.max_sampled_queue = stages.max_sampled_queue;
-    report.stages.max_built_queue = stages.max_built_queue;
-    report.stages.max_ready_queue = stages.max_ready_queue;
-    report.stages.peak_host_bytes = stages.peak_host_bytes;
+    // 4-lane pipeline schedule (sample | build | feature | device),
+    // with at most `window` batches in flight — the queue capacities.
+    const std::size_t window =
+        3 * static_cast<std::size_t>(
+                std::max(1, options_.pipeline.prefetch_depth)) +
+        3;
+    report.pipelined_seconds =
+        obs::pipelineTimeline(cp_rows, 4, window).wall();
+    for (const std::vector<double> &row : cp_rows) {
+        const double prep = row[0] + row[1] + row[2];
+        report.prep_seconds += prep;
+        report.device_seconds += row[3];
+        report.serial_seconds += prep + row[3];
+    }
 
     const FeatureCacheStats cache = cache_->stats();
     report.cache.policy = cache.policy;

@@ -36,11 +36,6 @@ class PipelineTrainer : public train::BuffaloTrainer
     PipelineTrainer(const train::TrainerOptions &options,
                     device::Device &device);
 
-    const train::PipelineOptions &pipelineOptions() const
-    {
-        return options().pipeline;
-    }
-
     /** The cross-epoch feature cache (disabled when budget is 0). */
     FeatureCache &featureCache() { return *cache_; }
     const FeatureCache &featureCache() const { return *cache_; }

@@ -296,11 +296,11 @@ Prefetcher::depthProbes()
     return probes;
 }
 
-PrefetcherStats
+train::StageReport
 Prefetcher::stats() const
 {
     util::MutexLock lock(stats_mutex_);
-    PrefetcherStats s = stats_;
+    train::StageReport s = stats_;
     s.max_sampled_queue = sampled_.maxOccupancy();
     s.max_built_queue = built_.maxOccupancy();
     s.max_ready_queue = ready_.maxOccupancy();

@@ -74,24 +74,6 @@ struct PreparedBatch
     double sample_seconds = 0.0;
     double build_seconds = 0.0;
     double feature_seconds = 0.0;
-
-    double
-    prepSeconds() const
-    {
-        return sample_seconds + build_seconds + feature_seconds;
-    }
-};
-
-/** Aggregate pipeline telemetry after (or during) a run. */
-struct PrefetcherStats
-{
-    double sample_busy_seconds = 0.0;
-    double build_busy_seconds = 0.0;
-    double feature_busy_seconds = 0.0;
-    std::size_t max_sampled_queue = 0;
-    std::size_t max_built_queue = 0;
-    std::size_t max_ready_queue = 0;
-    std::uint64_t peak_host_bytes = 0;
 };
 
 /** Runs the three preparation stages on a private util::ThreadPool. */
@@ -135,7 +117,9 @@ class Prefetcher
      */
     void release(const PreparedBatch &batch);
 
-    PrefetcherStats stats() const BUFFALO_EXCLUDES(stats_mutex_);
+    /** Stage busy times, queue high-water marks and peak host bytes
+     *  so far. */
+    train::StageReport stats() const BUFFALO_EXCLUDES(stats_mutex_);
 
     /**
      * Depth probes for the three stage queues ("sampled", "built",
@@ -181,7 +165,7 @@ class Prefetcher
     ByteBudget budget_;
 
     mutable util::Mutex stats_mutex_;
-    PrefetcherStats stats_ BUFFALO_GUARDED_BY(stats_mutex_);
+    train::StageReport stats_ BUFFALO_GUARDED_BY(stats_mutex_);
     /** Host bytes currently staged. */
     std::uint64_t current_host_bytes_
         BUFFALO_GUARDED_BY(stats_mutex_) = 0;

@@ -153,6 +153,8 @@ struct EpochReport
     std::uint64_t peak_device_bytes = 0;
 
     StageReport stages;
+    /** Cache counters since the trainer was built (the cache outlives
+     *  epochs); transfer_saved_bytes covers this epoch only. */
     CacheReport cache;
     /**
      * Predicted-vs-actual memory accounting over the epoch's trained

@@ -5,6 +5,7 @@
 #include "baselines/padding.h"
 #include "nn/loss.h"
 #include "obs/audit.h"
+#include "obs/critical_path.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -150,42 +151,49 @@ TrainerBase::trainEpoch(const graph::Dataset &dataset,
         rng);
 }
 
+void
+EpochFold::add(const IterationStats &stats)
+{
+    report_.loss_sum += stats.loss;
+    report_.correct += stats.correct;
+    report_.outputs += stats.num_outputs;
+    report_.num_micro_batches += stats.num_micro_batches;
+    report_.epoch_seconds += stats.endToEndSeconds();
+    report_.phases.merge(stats.phases);
+    report_.peak_device_bytes =
+        std::max(report_.peak_device_bytes, stats.peak_device_bytes);
+    for (const obs::GroupMemRecord &record : stats.group_audit)
+        report_.mem_audit.add(record);
+    ++report_.num_batches;
+}
+
+EpochReport
+EpochFold::finish()
+{
+    report_.wall_seconds = wall_.seconds();
+    report_.transfer_bytes = device_.transferredBytes() - bytes0_;
+    report_.transfer_saved_bytes =
+        device_.transferSavedBytes() - saved0_;
+    report_.mean_loss = report_.num_batches == 0
+                            ? 0.0
+                            : report_.loss_sum / report_.num_batches;
+    report_.accuracy =
+        report_.outputs == 0
+            ? 0.0
+            : static_cast<double>(report_.correct) /
+                  static_cast<double>(report_.outputs);
+    return report_;
+}
+
 EpochReport
 TrainerBase::trainEpochImpl(const graph::Dataset &dataset,
                             const std::vector<NodeList> &batches,
                             util::Rng &rng)
 {
-    EpochReport report;
-    const std::uint64_t bytes0 = device_.transferredBytes();
-    const std::uint64_t saved0 = device_.transferSavedBytes();
-    util::StopWatch wall;
-    for (const NodeList &batch : batches) {
-        IterationStats iter = trainIteration(dataset, batch, rng);
-        report.loss_sum += iter.loss;
-        report.correct += iter.correct;
-        report.outputs += iter.num_outputs;
-        report.num_micro_batches += iter.num_micro_batches;
-        report.epoch_seconds += iter.endToEndSeconds();
-        report.phases.merge(iter.phases);
-        report.peak_device_bytes = std::max(report.peak_device_bytes,
-                                            iter.peak_device_bytes);
-        for (const obs::GroupMemRecord &record : iter.group_audit)
-            report.mem_audit.add(record);
-        ++report.num_batches;
-    }
-    report.wall_seconds = wall.seconds();
-    report.transfer_bytes = device_.transferredBytes() - bytes0;
-    report.transfer_saved_bytes =
-        device_.transferSavedBytes() - saved0;
-    report.mean_loss = report.num_batches == 0
-                           ? 0.0
-                           : report.loss_sum / report.num_batches;
-    report.accuracy =
-        report.outputs == 0
-            ? 0.0
-            : static_cast<double>(report.correct) /
-                  static_cast<double>(report.outputs);
-    return report;
+    EpochFold fold(device_);
+    for (const NodeList &batch : batches)
+        fold.add(trainIteration(dataset, batch, rng));
+    return fold.finish();
 }
 
 double
@@ -412,7 +420,8 @@ BuffaloTrainer::trainScheduled(const graph::Dataset &dataset,
             // yields one predicted-vs-actual memory record (the
             // estimator audit, DESIGN.md "Memory audit & bench
             // regression"); the iteration peak is the max over them.
-            std::vector<double> prep_seconds, device_seconds;
+            // Per group {prep, device} seconds, for the overlap model.
+            std::vector<std::vector<double>> rows;
             std::uint64_t iteration_peak = 0;
             for (std::size_t g = 0; g < schedule.groups.size(); ++g) {
                 const core::BucketGroup &group = schedule.groups[g];
@@ -423,11 +432,13 @@ BuffaloTrainer::trainScheduled(const graph::Dataset &dataset,
                 if (prepared == nullptr)
                     generated =
                         generator_.generateOne(sg, group, &stats.phases);
-                prep_seconds.push_back(prep_watch.seconds());
+                const double prep_seconds = prep_watch.seconds();
                 device_.allocator().resetPeak();
-                device_seconds.push_back(processMicroBatch(
-                    prepared ? prepared->mb : generated, dataset,
-                    sg.numSeeds(), stats, 0, 0.0, prepared));
+                rows.push_back({prep_seconds,
+                                processMicroBatch(
+                                    prepared ? prepared->mb : generated,
+                                    dataset, sg.numSeeds(), stats, 0,
+                                    0.0, prepared)});
 
                 obs::GroupMemRecord record;
                 record.group_index = g;
@@ -451,20 +462,14 @@ BuffaloTrainer::trainScheduled(const graph::Dataset &dataset,
             optimizerStep(stats);
 
             // Pipelining extension: preparation of micro-batch k+1
-            // can overlap device execution of micro-batch k.
-            double overlapped = prep_seconds.empty()
-                                    ? 0.0
-                                    : prep_seconds.front();
-            for (std::size_t i = 0; i + 1 < prep_seconds.size(); ++i)
-                overlapped += std::max(prep_seconds[i + 1],
-                                       device_seconds[i]);
-            if (!device_seconds.empty())
-                overlapped += device_seconds.back();
+            // can overlap device execution of micro-batch k, i.e. the
+            // pipeline recurrence with at most 2 groups in flight.
             double serial = 0.0;
-            for (std::size_t i = 0; i < prep_seconds.size(); ++i)
-                serial += prep_seconds[i] + device_seconds[i];
+            for (const std::vector<double> &row : rows)
+                serial += row[0] + row[1];
             stats.pipelined_seconds =
-                stats.phases.total() - serial + overlapped;
+                stats.phases.total() - serial +
+                obs::pipelineTimeline(rows, 2, 2).wall();
 
             stats.num_micro_batches = schedule.num_groups;
             // The optimizer step runs after the last group reset, so

@@ -115,7 +115,10 @@ struct IterationStats
      * pipelined with device execution (prepare batch k+1 while the
      * device runs batch k) — an extension beyond the paper, which
      * identifies non-overlapped preparation as the §V-G bottleneck.
-     * Zero for trainers that do not compute it.
+     * It is obs::pipelineTimeline's window-2 case over the groups'
+     * {prep, device} seconds, the recurrence the pipelined epoch and
+     * the critical-path what-ifs also run. Zero for trainers that do
+     * not compute it.
      */
     double pipelined_seconds = 0.0;
     /**
@@ -128,6 +131,35 @@ struct IterationStats
 
     /** Sum of all phase times (host-measured + simulated device). */
     double endToEndSeconds() const { return phases.total(); }
+};
+
+/**
+ * The one fold of an epoch's IterationStats into its EpochReport,
+ * shared by the serial and the pipelined epoch loops. Construct it
+ * right before the loop: it snapshots the device's transfer counters
+ * and starts the wall clock.
+ */
+class EpochFold
+{
+  public:
+    explicit EpochFold(const device::Device &device)
+        : device_(device), bytes0_(device.transferredBytes()),
+          saved0_(device.transferSavedBytes())
+    {
+    }
+
+    /** Folds one trained batch in. */
+    void add(const IterationStats &stats);
+
+    /** Fills the wall time, transfer deltas, mean loss and accuracy. */
+    EpochReport finish();
+
+  private:
+    const device::Device &device_;
+    EpochReport report_;
+    std::uint64_t bytes0_;
+    std::uint64_t saved0_;
+    util::StopWatch wall_;
 };
 
 /** Common machinery of the three pipelines. */

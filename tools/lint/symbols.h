@@ -439,7 +439,7 @@ findFunctions(const TokenStream &ts, FileSymbols *sym)
         sym->functions.push_back(std::move(fn));
     }
     // Annotated declarations (no body), e.g.
-    //   PrefetcherStats stats() const BUFFALO_EXCLUDES(stats_mutex_);
+    //   train::StageReport stats() const BUFFALO_EXCLUDES(stats_mutex_);
     for (std::size_t i = 1; i + 1 < ts.size(); ++i) {
         if (!ts.isIdent(i, "BUFFALO_EXCLUDES") || !ts.is(i + 1, "("))
             continue;
