@@ -67,8 +67,8 @@ echo "=== Observability smoke epoch ==="
 obs_dir="${prefix}-release/obs-smoke"
 mkdir -p "${obs_dir}"
 "${prefix}-release/tools/buffalo_train" \
-    --dataset arxiv --scale 0.1 --epochs 1 --batch-size 256 \
-    --aggregator lstm --hidden 32 --budget-mb 16 \
+    --dataset arxiv --scale 0.1 --epochs 1 --batch-size 16 \
+    --aggregator lstm --hidden 32 --budget-mb 8 \
     --pipeline --feature-cache-mb 8 \
     --cache-policy presample --presample-batches 4 \
     --kernel-threads 2 \
@@ -83,7 +83,9 @@ mkdir -p "${obs_dir}"
 # Eq. 1-2 estimator is calibrated against) and a budget tight enough
 # to split batches — mean-aggregator runs at tiny scale under-saturate
 # Eq. 1 and over-predict well past 25%; see EXPERIMENTS.md ("Known
-# scale artifacts").
+# scale artifacts"). Batches of 16 give 10 batches, one more than the
+# pipeline's 9-batch queue window at prefetch depth 2, so the overlap
+# model and the critical path see a real pipeline, not one batch.
 "${prefix}-release/tools/obs_validate" \
     --trace "${obs_dir}/trace.json" \
     --expect-spans "@core" \
