@@ -1,7 +1,6 @@
 #include "nn/layer_ops.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -9,6 +8,7 @@
 #include "nn/linear.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
+#include "tensor/transcendental.h"
 #include "util/errors.h"
 
 namespace buffalo::nn {
@@ -334,7 +334,7 @@ class GatLayer final : public LayerOp
                     }
                     float z = 0.0f;
                     for (std::size_t t = 0; t <= d; ++t) {
-                        alpha[t] = std::exp(alpha[t] - row_max);
+                        alpha[t] = tensor::math::exp(alpha[t] - row_max);
                         z += alpha[t];
                     }
                     for (std::size_t t = 0; t <= d; ++t)

@@ -1,12 +1,12 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "tensor/kernels_wide.h"
+#include "tensor/transcendental.h"
 #include "util/errors.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -585,6 +585,33 @@ scalarScatterScaledAddRows(const float *grad,
 }
 
 void
+scalarLstmForwardRows(const float *zx, const float *zh,
+                      const float *bias, const float *c_prev,
+                      std::size_t r0, std::size_t r1, std::size_t h,
+                      float *i, float *f, float *g, float *o, float *c,
+                      float *tanh_c, float *h_out)
+{
+    for (std::size_t r = r0; r < r1; ++r) {
+        const float *zxr = zx + r * 4 * h;
+        const float *zhr = zh + r * 4 * h;
+        for (std::size_t j = 0; j < h; ++j) {
+            const auto z = [&](std::size_t block) {
+                const std::size_t b = block * h + j;
+                return (zxr[b] + zhr[b]) + bias[b];
+            };
+            const std::size_t k = r * h + j;
+            i[k] = math::sigmoid(z(0));
+            f[k] = math::sigmoid(z(1));
+            g[k] = math::tanh(z(2));
+            o[k] = math::sigmoid(z(3));
+            c[k] = (f[k] * c_prev[k]) + (i[k] * g[k]);
+            tanh_c[k] = math::tanh(c[k]);
+            h_out[k] = o[k] * tanh_c[k];
+        }
+    }
+}
+
+void
 scalarLstmBackwardRows(const float *dh, const float *dc_in,
                        const float *i, const float *f, const float *g,
                        const float *o, const float *c_prev,
@@ -688,36 +715,16 @@ fusedLstmForward(const float *zx, const float *zh, const float *bias,
     // Reads zx, zh (4h each), c_prev; writes seven h-wide outputs.
     OpTimer timer(OpClass::Elementwise,
                   (16 * n * h + 4 * h) * sizeof(float));
-    // Five transcendentals per hidden unit at ~20 flops each, as in
-    // ops::sigmoid's work estimate.
-    parallelRows(n, 100 * n * h, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            const float *zxr = zx + r * 4 * h;
-            const float *zhr = zh + r * 4 * h;
-            const std::size_t e = r * h;
-            // One loop per gate: its libm calls are independent, so
-            // consecutive ones overlap; a single loop over all five
-            // serializes on c = f*c_prev + i*g.
-            const auto gate = [&](std::size_t block, float *out,
-                                  auto activation) {
-                const std::size_t b = block * h;
-                for (std::size_t j = 0; j < h; ++j)
-                    out[e + j] = activation(
-                        (zxr[b + j] + zhr[b + j]) + bias[b + j]);
-            };
-            const auto sigmoid = [](float z) {
-                return 1.0f / (1.0f + std::exp(-z));
-            };
-            gate(0, i, sigmoid);
-            gate(1, f, sigmoid);
-            gate(2, g, [](float z) { return std::tanh(z); });
-            gate(3, o, sigmoid);
-            for (std::size_t k = e; k < e + h; ++k) {
-                c[k] = (f[k] * c_prev[k]) + (i[k] * g[k]);
-                tanh_c[k] = std::tanh(c[k]);
-                h_out[k] = o[k] * tanh_c[k];
-            }
-        }
+    const bool use_simd = simdActive();
+    // Five owned transcendentals per hidden unit: in VecF lanes about
+    // twice the backward pass's cost per unit.
+    parallelRows(n, 40 * n * h, [&](std::size_t r0, std::size_t r1) {
+        if (use_simd)
+            wide::fusedLstmForwardRows(zx, zh, bias, c_prev, r0, r1, h,
+                                       i, f, g, o, c, tanh_c, h_out);
+        else
+            scalarLstmForwardRows(zx, zh, bias, c_prev, r0, r1, h, i,
+                                  f, g, o, c, tanh_c, h_out);
     });
 }
 

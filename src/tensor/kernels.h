@@ -210,7 +210,9 @@ void fusedScatterScaledAdd(const float *grad,
  * fusedLstmForward: given the gate GEMMs zx = x*Wx and zh = h*Wh,
  *   z = (zx + zh) + bias;  i, f, o = 1 / (1 + exp(-z));  g = tanh(z)
  *   c = (f * c_prev) + (i * g);  tanh_c = tanh(c);  h = o * tanh_c
- * with the scalar std::exp / std::tanh of ops::sigmoid / ops::tanh.
+ * with the owned exp / tanh of tensor/transcendental.h, the ones
+ * ops::sigmoid / ops::tanh call. The wide path runs them in VecF
+ * lanes.
  */
 void fusedLstmForward(const float *zx, const float *zh,
                       const float *bias, const float *c_prev,
@@ -226,8 +228,8 @@ void fusedLstmForward(const float *zx, const float *zh,
  *   dz_g = (dc * i) * (1 - g * g)
  *   dz_o = ((dh * tanh_c) * o) * (1 - o)
  *   dc_prev = dc * f
- * writing dz (n x 4h) and dc_prev. No transcendentals, so the wide
- * path runs it in VecF lanes.
+ * writing dz (n x 4h) and dc_prev. The wide path runs it in VecF
+ * lanes.
  */
 void fusedLstmBackward(const float *dh, const float *dc_in,
                        const float *i, const float *f, const float *g,

@@ -88,6 +88,24 @@ void fusedScatterScaledAddRows(const float *grad,
                                float *grad_x, std::size_t r0,
                                std::size_t r1);
 
+/** The owned transcendentals of tensor/transcendental.h. */
+enum class Transcendental { Exp, Tanh, Sigmoid };
+
+/**
+ * y[k] = fn(x[k]) for k in [0, n): the VecF form over whole lane
+ * groups, the scalar form on the tail. No kernel calls it; tests
+ * compare it bitwise against the scalar form.
+ */
+void transcendentalRows(Transcendental fn, const float *x, float *y,
+                        std::size_t n);
+
+void fusedLstmForwardRows(const float *zx, const float *zh,
+                          const float *bias, const float *c_prev,
+                          std::size_t r0, std::size_t r1,
+                          std::size_t h, float *i, float *f, float *g,
+                          float *o, float *c, float *tanh_c,
+                          float *h_out);
+
 void fusedLstmBackwardRows(const float *dh, const float *dc_in,
                            const float *i, const float *f,
                            const float *g, const float *o,

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "tensor/kernels.h"
+#include "tensor/transcendental.h"
 #include "util/errors.h"
 
 namespace buffalo::tensor {
@@ -244,7 +245,7 @@ sigmoid(const Tensor &a, AllocationObserver *observer)
     kernels::parallelRows(
         a.size(), 20 * a.size(), [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i)
-                pc[i] = 1.0f / (1.0f + std::exp(-pa[i]));
+                pc[i] = math::sigmoid(pa[i]);
         });
     return c;
 }
@@ -259,7 +260,7 @@ tanh(const Tensor &a, AllocationObserver *observer)
     kernels::parallelRows(
         a.size(), 20 * a.size(), [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i)
-                pc[i] = std::tanh(pa[i]);
+                pc[i] = math::tanh(pa[i]);
         });
     return c;
 }

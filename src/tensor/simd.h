@@ -2,8 +2,10 @@
  * @file
  * Portable SIMD lane-group wrappers for the kernel layer (DESIGN.md,
  * "Compute kernels"). One vector type, `VecF`, backed by AVX2
- * (8 lanes), NEON (4 lanes), or a plain scalar lane (width 1) when
- * the translation unit is built without a wide ISA.
+ * (8 lanes), AArch64 NEON (4 lanes), or a plain scalar lane (width 1)
+ * when the translation unit is built without a wide ISA. 32-bit ARM
+ * NEON is left to the scalar lane: it lacks vdivq and flushes
+ * subnormals to zero, so it could not match the scalar path.
  *
  * Determinism contract (the reason this wrapper exists instead of
  * compiler auto-vectorization): every lane performs exactly the
@@ -38,10 +40,13 @@
 #if defined(BUFFALO_SIMD_ENABLED) && defined(__AVX2__)
 #define BUFFALO_SIMD_AVX2 1
 #include <immintrin.h>
-#elif defined(BUFFALO_SIMD_ENABLED) && defined(__ARM_NEON)
+#elif defined(BUFFALO_SIMD_ENABLED) && defined(__ARM_NEON) &&          \
+    defined(__aarch64__)
 #define BUFFALO_SIMD_NEON 1
 #include <arm_neon.h>
 #endif
+
+#include "tensor/transcendental.h"
 
 namespace buffalo::tensor::simd {
 
@@ -106,6 +111,57 @@ inline VecF
 max(VecF a, VecF b)
 {
     return {_mm256_max_ps(a.v, b.v)};
+}
+
+/** Lane-wise `a < b ? a : b` (minps returns b on NaN, like the
+ *  scalar ternary). */
+inline VecF
+min(VecF a, VecF b)
+{
+    return {_mm256_min_ps(a.v, b.v)};
+}
+
+/** IEEE division: correctly rounded, so every width agrees. */
+inline VecF
+div(VecF a, VecF b)
+{
+    return {_mm256_div_ps(a.v, b.v)};
+}
+
+/** Lane-wise `a < b ? x : y` (ordered: NaN selects y). */
+inline VecF
+selectLt(VecF a, VecF b, VecF x, VecF y)
+{
+    const __m256 mask = _mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ);
+    return {_mm256_blendv_ps(y.v, x.v, mask)};
+}
+
+/** |x|: the sign bit cleared. */
+inline VecF
+abs(VecF x)
+{
+    const __m256 sign = _mm256_castsi256_ps(
+        _mm256_set1_epi32(static_cast<int>(math::kSignBit)));
+    return {_mm256_andnot_ps(sign, x.v)};
+}
+
+/** The magnitude of @p mag with the sign bit of @p sign. */
+inline VecF
+copySign(VecF mag, VecF sign)
+{
+    const __m256 bit = _mm256_castsi256_ps(
+        _mm256_set1_epi32(static_cast<int>(math::kSignBit)));
+    return {_mm256_or_ps(_mm256_andnot_ps(bit, mag.v),
+                         _mm256_and_ps(bit, sign.v))};
+}
+
+/** 2^n for integer-valued n in [-126, 127] (see math::pow2i). */
+inline VecF
+pow2i(VecF n)
+{
+    const __m256 t = _mm256_add_ps(n.v, _mm256_set1_ps(math::kPow2Magic));
+    return {_mm256_castsi256_ps(
+        _mm256_slli_epi32(_mm256_castps_si256(t), 23))};
 }
 
 /**
@@ -195,6 +251,51 @@ max(VecF a, VecF b)
     return {vmaxq_f32(a.v, b.v)};
 }
 
+/** Lane-wise `a < b ? a : b`, by compare and select: vminq_f32
+ *  would return NaN where the scalar ternary returns b. */
+inline VecF
+min(VecF a, VecF b)
+{
+    return {vbslq_f32(vcltq_f32(a.v, b.v), a.v, b.v)};
+}
+
+/** IEEE division (AArch64 vdivq): correctly rounded. */
+inline VecF
+div(VecF a, VecF b)
+{
+    return {vdivq_f32(a.v, b.v)};
+}
+
+/** Lane-wise `a < b ? x : y` (vcltq is false for NaN). */
+inline VecF
+selectLt(VecF a, VecF b, VecF x, VecF y)
+{
+    return {vbslq_f32(vcltq_f32(a.v, b.v), x.v, y.v)};
+}
+
+/** |x|: the sign bit cleared. */
+inline VecF
+abs(VecF x)
+{
+    return {vabsq_f32(x.v)};
+}
+
+/** The magnitude of @p mag with the sign bit of @p sign. */
+inline VecF
+copySign(VecF mag, VecF sign)
+{
+    return {vbslq_f32(vdupq_n_u32(math::kSignBit), sign.v, mag.v)};
+}
+
+/** 2^n for integer-valued n in [-126, 127] (see math::pow2i). */
+inline VecF
+pow2i(VecF n)
+{
+    const float32x4_t t = vaddq_f32(n.v, vdupq_n_f32(math::kPow2Magic));
+    return {vreinterpretq_f32_u32(
+        vshlq_n_u32(vreinterpretq_u32_f32(t), 23))};
+}
+
 /** Separate mul + add (not vfmaq): matches the scalar lane exactly. */
 inline VecF
 mulAdd(VecF a, VecF b, VecF acc)
@@ -272,6 +373,45 @@ inline VecF
 max(VecF a, VecF b)
 {
     return {a.v > b.v ? a.v : b.v};
+}
+
+inline VecF
+min(VecF a, VecF b)
+{
+    return {a.v < b.v ? a.v : b.v};
+}
+
+inline VecF
+div(VecF a, VecF b)
+{
+    return {a.v / b.v};
+}
+
+inline VecF
+selectLt(VecF a, VecF b, VecF x, VecF y)
+{
+    return {a.v < b.v ? x.v : y.v};
+}
+
+inline VecF
+abs(VecF x)
+{
+    return {math::detail::fromBits(math::detail::bitsOf(x.v) &
+                                   ~math::kSignBit)};
+}
+
+inline VecF
+copySign(VecF mag, VecF sign)
+{
+    return {math::detail::fromBits(
+        (math::detail::bitsOf(mag.v) & ~math::kSignBit) |
+        (math::detail::bitsOf(sign.v) & math::kSignBit))};
+}
+
+inline VecF
+pow2i(VecF n)
+{
+    return {math::pow2i(n.v)};
 }
 
 inline VecF

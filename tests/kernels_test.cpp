@@ -16,7 +16,9 @@
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "tensor/kernels.h"
+#include "tensor/kernels_wide.h"
 #include "tensor/ops.h"
+#include "tensor/transcendental.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -568,16 +570,154 @@ TEST_F(KernelsTest, FusedAggregateKernelsMatchScalarComposition)
     }
 }
 
+/** Distance from @p got to the exact @p want in float ulps at @p want
+ *  (the subnormal spacing 2^-149 at the bottom). */
+double
+ulpError(float got, double want)
+{
+    int e = 0;
+    std::frexp(want, &e);
+    const double ulp = std::ldexp(1.0, std::max(e - 24, -149));
+    return std::fabs(static_cast<double>(got) - want) / ulp;
+}
+
+TEST_F(KernelsTest, OwnedTranscendentalsAreAccurateAndWidthInvariant)
+{
+    namespace m = tensor::math;
+    namespace wide = kernels::wide;
+    const auto linspace = [](float lo, float hi, std::size_t n) {
+        std::vector<float> x(n);
+        for (std::size_t k = 0; k < n; ++k)
+            x[k] = lo + (hi - lo) * static_cast<float>(k) /
+                            static_cast<float>(n - 1);
+        return x;
+    };
+    const std::vector<float> gate = linspace(-20.0f, 20.0f, 400001);
+    // exp's finite range: below -103.97 it rounds to 0, above 88.72 it
+    // overflows.
+    const std::vector<float> exp_range =
+        linspace(-103.97f, 88.72f, 200001);
+    const std::vector<float> tiny = [] { // tanh(x) ~ x at the bottom
+        std::vector<float> x;
+        for (float v = 1e-40f; v < 20.0f; v *= 1.001f) {
+            x.push_back(v);
+            x.push_back(-v);
+        }
+        return x;
+    }();
+
+    // Max-ulp bounds against double precision. sigmoid adds an add
+    // and a divide after exp, so its bound is one ulp wider.
+    double exp_ulp = 0, tanh_ulp = 0, sigmoid_ulp = 0;
+    for (const std::vector<float> *xs : {&gate, &exp_range})
+        for (float x : *xs)
+            exp_ulp = std::max(
+                exp_ulp, ulpError(m::exp(x), std::exp(double{x})));
+    for (const std::vector<float> *xs : {&gate, &tiny})
+        for (float x : *xs)
+            tanh_ulp = std::max(
+                tanh_ulp, ulpError(m::tanh(x), std::tanh(double{x})));
+    for (float x : gate)
+        sigmoid_ulp =
+            std::max(sigmoid_ulp,
+                     ulpError(m::sigmoid(x),
+                              1.0 / (1.0 + std::exp(-double{x}))));
+    EXPECT_LE(exp_ulp, 2.0);
+    EXPECT_LE(tanh_ulp, 2.0);
+    EXPECT_LE(sigmoid_ulp, 3.0);
+
+    // Special values, through the scalar form and every lane of the
+    // VecF form (each is followed by a finite filler so the array
+    // also ends in a tail).
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const std::vector<float> specials = {nan,    inf,   -inf,    0.0f,
+                                         -0.0f,  1e3f,  -1e3f,   88.8f,
+                                         -104.f, 1e-45f, -1e-45f, 0.5f};
+    const auto checkSpecials = [&](const char *form, auto exp_fn,
+                                   auto tanh_fn, auto sigmoid_fn) {
+        SCOPED_TRACE(form);
+        EXPECT_TRUE(std::isnan(exp_fn(nan)));
+        EXPECT_TRUE(std::isnan(tanh_fn(nan)));
+        EXPECT_TRUE(std::isnan(sigmoid_fn(nan)));
+        EXPECT_EQ(tanh_fn(inf), 1.0f);
+        EXPECT_EQ(tanh_fn(-inf), -1.0f);
+        EXPECT_EQ(tanh_fn(0.0f), 0.0f);
+        EXPECT_FALSE(std::signbit(tanh_fn(0.0f)));
+        EXPECT_EQ(tanh_fn(-0.0f), 0.0f);
+        EXPECT_TRUE(std::signbit(tanh_fn(-0.0f)));
+        EXPECT_EQ(tanh_fn(-1e-45f), -1e-45f);
+        EXPECT_EQ(exp_fn(-inf), 0.0f);
+        EXPECT_EQ(exp_fn(-1e3f), 0.0f);
+        EXPECT_EQ(exp_fn(inf), inf);
+        EXPECT_EQ(exp_fn(88.8f), inf);
+        EXPECT_EQ(exp_fn(0.0f), 1.0f);
+        EXPECT_EQ(exp_fn(-0.0f), 1.0f);
+        EXPECT_EQ(sigmoid_fn(-inf), 0.0f);
+        EXPECT_EQ(sigmoid_fn(-1e3f), 0.0f);
+        EXPECT_EQ(sigmoid_fn(inf), 1.0f);
+        EXPECT_EQ(sigmoid_fn(1e3f), 1.0f);
+    };
+    checkSpecials("scalar", m::exp, m::tanh, m::sigmoid);
+
+    // The VecF form runs only where the host can execute it; a
+    // scalar-only build runs its width-1 lane.
+    if (!kernels::simdAvailable() && wide::width() > 1)
+        GTEST_SKIP() << "host lacks " << wide::isaName();
+    const auto wideOne = [&](wide::Transcendental fn) {
+        return [fn](float x) {
+            // x in every lane of a full group, then once in the tail.
+            std::vector<float> in(wide::width() + 1, x), out(in.size());
+            wide::transcendentalRows(fn, in.data(), out.data(),
+                                     in.size());
+            return out[0];
+        };
+    };
+    checkSpecials("VecF", wideOne(wide::Transcendental::Exp),
+                  wideOne(wide::Transcendental::Tanh),
+                  wideOne(wide::Transcendental::Sigmoid));
+
+    std::vector<float> sweep = gate;
+    sweep.insert(sweep.end(), exp_range.begin(), exp_range.end());
+    sweep.insert(sweep.end(), tiny.begin(), tiny.end());
+    for (float x : specials) {
+        sweep.push_back(x);
+        sweep.push_back(0.25f);
+    }
+    for (wide::Transcendental fn :
+         {wide::Transcendental::Exp, wide::Transcendental::Tanh,
+          wide::Transcendental::Sigmoid}) {
+        std::vector<float> got(sweep.size());
+        wide::transcendentalRows(fn, sweep.data(), got.data(),
+                                 sweep.size());
+        std::size_t mismatches = 0;
+        for (std::size_t k = 0; k < sweep.size(); ++k) {
+            const float want = fn == wide::Transcendental::Exp
+                                   ? m::exp(sweep[k])
+                               : fn == wide::Transcendental::Tanh
+                                   ? m::tanh(sweep[k])
+                                   : m::sigmoid(sweep[k]);
+            const bool same =
+                std::isnan(want)
+                    ? std::isnan(got[k])
+                    : std::memcmp(&want, &got[k], sizeof want) == 0;
+            mismatches += same ? 0 : 1;
+        }
+        EXPECT_EQ(mismatches, 0u) << static_cast<int>(fn);
+    }
+}
+
 TEST_F(KernelsTest, FusedLstmPassesMatchOpChain)
 {
     // The fused LSTM cell passes against the op chain they replace
     // (slice / sigmoid / tanh / multiply / add forward; the
     // elementwise backward with its per-gate loops), across every
     // SIMD mode x thread count. h = 20 ends each row in a scalar tail
-    // after two 8-wide vectors; the 4x input range saturates gates.
+    // after two 8-wide vectors, h = 64 is whole vectors only; the 4x
+    // input range saturates gates.
     for (const auto &[n, h] : std::vector<
              std::pair<std::size_t, std::size_t>>{
-             {0, 3}, {1, 1}, {7, 3}, {33, 20}, {130, 24}}) {
+             {0, 3}, {1, 1}, {7, 3}, {33, 20}, {130, 24}, {9, 64}}) {
         util::Rng rng(41 + n + h);
         Tensor zx = randomTensor(n, 4 * h, rng);
         Tensor zh = randomTensor(n, 4 * h, rng);

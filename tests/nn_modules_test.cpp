@@ -241,13 +241,14 @@ lstmAggregatorDigest()
 
 /**
  * Golden digest of the LSTM aggregator, computed from the unfused
- * slice/sigmoid/tanh/concat cell and the 4x1 / one-chain GEMM
- * kernels. It must hold at every SIMD mode and thread count; any
- * change here means a numeric LSTM output changed.
+ * slice/sigmoid/tanh/concat cell with the owned exp and tanh
+ * (tensor/transcendental.h) and the 4x1 / one-chain GEMM kernels. It
+ * must hold at every SIMD mode and thread count; any change here
+ * means a numeric LSTM output changed.
  */
 TEST(Aggregators, LstmDigestIsPinnedAcrossSimdAndThreads)
 {
-    const std::uint64_t golden = 0x050c787e398c8b5aULL;
+    const std::uint64_t golden = 0xa761d47f2144e53cULL;
     std::vector<tensor::kernels::SimdMode> modes = {
         tensor::kernels::SimdMode::Off};
     if (tensor::kernels::simdAvailable())
@@ -547,14 +548,15 @@ modelDigest()
 }
 
 /**
- * Golden digest of every architecture, computed before the three
- * architectures shared one layer-stack model. It must hold at every SIMD
- * mode and thread count; any change here means a logit, a gradient or
- * a device peak changed.
+ * Golden digest of every architecture, last computed when the LSTM
+ * gates and GAT's softmax moved to the owned exp and tanh
+ * (tensor/transcendental.h). It must hold at every SIMD mode and
+ * thread count; any change here means a logit, a gradient or a device
+ * peak changed.
  */
 TEST(Models, DigestIsPinnedAcrossSimdAndThreads)
 {
-    const std::uint64_t golden = 0xff028ad1e10b86e4ULL;
+    const std::uint64_t golden = 0x897d2016cceff055ULL;
     std::vector<tensor::kernels::SimdMode> modes = {
         tensor::kernels::SimdMode::Off};
     if (tensor::kernels::simdAvailable())
