@@ -77,9 +77,13 @@ TEST(MultiGpu, TwoDevicesSlightlyFaster)
 
     EXPECT_GT(single.num_micro_batches, 1);
     // Two devices shave device time but host time is unchanged
-    // (paper §V-G: only a 3-5% end-to-end gain).
+    // (paper §V-G: only a 3-5% end-to-end gain). The saving is
+    // asserted on the modeled clock alone: iteration_seconds adds the
+    // measured host time of two separate runs, whose noise is as
+    // large as the modeled saving.
     EXPECT_LE(dual.device_seconds, single.device_seconds);
-    EXPECT_LT(dual.iteration_seconds, single.iteration_seconds);
+    EXPECT_LT(dual.device_seconds + dual.allreduce_seconds,
+              single.device_seconds);
     EXPECT_GT(dual.allreduce_seconds, 0.0);
 }
 
