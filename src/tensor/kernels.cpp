@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -117,11 +119,58 @@ dispatchCounter(bool parallel)
     return parallel ? parallel_ops : serial_ops;
 }
 
-/** True when the current config dispatches to the wide kernels. */
-bool
-simdActive()
+/**
+ * The builds of kernels_simd.cpp this CPU runs, narrowest first,
+ * resolved once. On x86-64 the AVX-512F build needs avx512f (which
+ * __builtin_cpu_supports reports only where the OS saves the ZMM
+ * state) and the AVX2 build avx2.
+ */
+const std::vector<const wide::Kernels *> &
+runnableBuilds()
 {
-    return g_config.simd != SimdMode::Off && wide::available();
+    static const std::vector<const wide::Kernels *> builds = [] {
+        std::vector<const wide::Kernels *> runnable;
+#if defined(BUFFALO_WIDE_X86)
+        if (__builtin_cpu_supports("avx2"))
+            runnable.push_back(&wide::avx2::table());
+        if (__builtin_cpu_supports("avx512f"))
+            runnable.push_back(&wide::avx512::table());
+#elif defined(BUFFALO_WIDE_NEON)
+        runnable.push_back(&wide::neon::table());
+#else
+        runnable.push_back(&wide::scalar::table());
+#endif
+        return runnable;
+    }();
+    return builds;
+}
+
+/** The widest build the CPU runs, or null when it runs none. */
+const wide::Kernels *
+widestBuild()
+{
+    const std::vector<const wide::Kernels *> &builds = runnableBuilds();
+    return builds.empty() ? nullptr : builds.back();
+}
+
+/** The build the wide path dispatches to: the widest, unless
+ *  wide::selectWidth picked another. Like g_config, written only at
+ *  quiescent points. */
+const wide::Kernels *&
+selectedBuild()
+{
+    static const wide::Kernels *build = widestBuild();
+    return build;
+}
+
+/** The build the current config dispatches to, or null for the
+ *  scalar path. */
+const wide::Kernels *
+wideActive()
+{
+    return g_config.simd != SimdMode::Off && simdAvailable()
+               ? selectedBuild()
+               : nullptr;
 }
 
 } // namespace
@@ -135,7 +184,7 @@ config()
 void
 setConfig(const KernelConfig &cfg)
 {
-    checkArgument(cfg.simd != SimdMode::On || wide::available(),
+    checkArgument(cfg.simd != SimdMode::On || simdAvailable(),
                   "KernelConfig: simd=on requires a BUFFALO_SIMD build "
                   "on a CPU with the target ISA");
     KernelConfig sanitized = cfg;
@@ -157,19 +206,47 @@ effectiveThreads()
 bool
 simdAvailable()
 {
-    return wide::available();
+    const wide::Kernels *build = selectedBuild();
+    return build != nullptr && build->width > 1;
 }
 
 std::size_t
 simdWidth()
 {
-    return simdActive() ? wide::width() : 1;
+    const wide::Kernels *build = wideActive();
+    return build != nullptr ? build->width : 1;
 }
 
 const char *
 simdIsaName()
 {
-    return wide::isaName();
+    const wide::Kernels *build = selectedBuild();
+    return build != nullptr ? build->isa : "scalar";
+}
+
+std::vector<std::size_t>
+wide::runnableWidths()
+{
+    std::vector<std::size_t> widths;
+    for (const Kernels *build : runnableBuilds())
+        widths.push_back(build->width);
+    return widths;
+}
+
+const wide::Kernels &
+wide::build(std::size_t width)
+{
+    for (const Kernels *candidate : runnableBuilds())
+        if (candidate->width == width)
+            return *candidate;
+    throw InvalidArgument("wide::build: this CPU runs no " +
+                          std::to_string(width) + "-lane build");
+}
+
+void
+wide::selectWidth(std::size_t width)
+{
+    selectedBuild() = width == 0 ? widestBuild() : &build(width);
 }
 
 SimdMode
@@ -235,8 +312,8 @@ void
 gemmRows(const float *a, const float *b, float *c, std::size_t r0,
          std::size_t r1, std::size_t k, std::size_t n)
 {
-    if (simdActive()) {
-        wide::gemmRows(a, b, c, r0, r1, k, n, g_config.tile_k,
+    if (const wide::Kernels *lanes = wideActive()) {
+        lanes->gemmRows(a, b, c, r0, r1, k, n, g_config.tile_k,
                        g_config.tile_n);
         return;
     }
@@ -299,8 +376,8 @@ gemmTransposeARows(const float *a, const float *b, float *c,
                    std::size_t r0, std::size_t r1, std::size_t k,
                    std::size_t m, std::size_t n)
 {
-    if (simdActive()) {
-        wide::gemmTransposeARows(a, b, c, r0, r1, k, m, n,
+    if (const wide::Kernels *lanes = wideActive()) {
+        lanes->gemmTransposeARows(a, b, c, r0, r1, k, m, n,
                                  g_config.tile_k, g_config.tile_n);
         return;
     }
@@ -356,8 +433,9 @@ gemmTransposeBRows(const float *a, const float *b, float *c,
                    std::size_t r0, std::size_t r1, std::size_t k,
                    std::size_t n)
 {
-    if (simdActive()) {
-        wide::gemmTransposeBRows(a, b, c, r0, r1, k, n);
+    if (const wide::Kernels *lanes = wideActive()) {
+        lanes->gemmTransposeBRows(a, b, c, r0, r1, k, n, g_config.tile_k,
+                                  g_config.tile_n);
         return;
     }
     for (std::size_t i = r0; i < r1; ++i) {
@@ -398,8 +476,8 @@ void
 ewAdd(const float *a, const float *b, float *c, std::size_t lo,
       std::size_t hi)
 {
-    if (simdActive()) {
-        wide::ewAdd(a, b, c, lo, hi);
+    if (const wide::Kernels *lanes = wideActive()) {
+        lanes->ewAdd(a, b, c, lo, hi);
         return;
     }
     for (std::size_t i = lo; i < hi; ++i)
@@ -410,8 +488,8 @@ void
 ewSubtract(const float *a, const float *b, float *c, std::size_t lo,
            std::size_t hi)
 {
-    if (simdActive()) {
-        wide::ewSubtract(a, b, c, lo, hi);
+    if (const wide::Kernels *lanes = wideActive()) {
+        lanes->ewSubtract(a, b, c, lo, hi);
         return;
     }
     for (std::size_t i = lo; i < hi; ++i)
@@ -422,8 +500,8 @@ void
 ewMultiply(const float *a, const float *b, float *c, std::size_t lo,
            std::size_t hi)
 {
-    if (simdActive()) {
-        wide::ewMultiply(a, b, c, lo, hi);
+    if (const wide::Kernels *lanes = wideActive()) {
+        lanes->ewMultiply(a, b, c, lo, hi);
         return;
     }
     for (std::size_t i = lo; i < hi; ++i)
@@ -434,8 +512,8 @@ void
 ewScale(const float *a, float s, float *c, std::size_t lo,
         std::size_t hi)
 {
-    if (simdActive()) {
-        wide::ewScale(a, s, c, lo, hi);
+    if (const wide::Kernels *lanes = wideActive()) {
+        lanes->ewScale(a, s, c, lo, hi);
         return;
     }
     for (std::size_t i = lo; i < hi; ++i)
@@ -445,8 +523,8 @@ ewScale(const float *a, float s, float *c, std::size_t lo,
 void
 ewAddInPlace(float *a, const float *b, std::size_t lo, std::size_t hi)
 {
-    if (simdActive()) {
-        wide::ewAddInPlace(a, b, lo, hi);
+    if (const wide::Kernels *lanes = wideActive()) {
+        lanes->ewAddInPlace(a, b, lo, hi);
         return;
     }
     for (std::size_t i = lo; i < hi; ++i)
@@ -456,8 +534,8 @@ ewAddInPlace(float *a, const float *b, std::size_t lo, std::size_t hi)
 void
 ewScaleInPlace(float *a, float s, std::size_t lo, std::size_t hi)
 {
-    if (simdActive()) {
-        wide::ewScaleInPlace(a, s, lo, hi);
+    if (const wide::Kernels *lanes = wideActive()) {
+        lanes->ewScaleInPlace(a, s, lo, hi);
         return;
     }
     for (std::size_t i = lo; i < hi; ++i)
@@ -467,8 +545,8 @@ ewScaleInPlace(float *a, float s, std::size_t lo, std::size_t hi)
 void
 ewRelu(const float *a, float *c, std::size_t lo, std::size_t hi)
 {
-    if (simdActive()) {
-        wide::ewRelu(a, c, lo, hi);
+    if (const wide::Kernels *lanes = wideActive()) {
+        lanes->ewRelu(a, c, lo, hi);
         return;
     }
     for (std::size_t i = lo; i < hi; ++i)
@@ -479,8 +557,8 @@ void
 ewReluBackward(const float *grad, const float *pre, float *c,
                std::size_t lo, std::size_t hi)
 {
-    if (simdActive()) {
-        wide::ewReluBackward(grad, pre, c, lo, hi);
+    if (const wide::Kernels *lanes = wideActive()) {
+        lanes->ewReluBackward(grad, pre, c, lo, hi);
         return;
     }
     for (std::size_t i = lo; i < hi; ++i)
@@ -491,8 +569,8 @@ void
 ewAddRowBroadcast(const float *a, const float *bias, float *c,
                   std::size_t r0, std::size_t r1, std::size_t n)
 {
-    if (simdActive()) {
-        wide::ewAddRowBroadcast(a, bias, c, r0, r1, n);
+    if (const wide::Kernels *lanes = wideActive()) {
+        lanes->ewAddRowBroadcast(a, bias, c, r0, r1, n);
         return;
     }
     for (std::size_t i = r0; i < r1; ++i) {
@@ -507,8 +585,8 @@ void
 ewColumnSum(const float *a, float *c, std::size_t rows, std::size_t n,
             std::size_t c0, std::size_t c1)
 {
-    if (simdActive()) {
-        wide::ewColumnSum(a, c, rows, n, c0, c1);
+    if (const wide::Kernels *lanes = wideActive()) {
+        lanes->ewColumnSum(a, c, rows, n, c0, c1);
         return;
     }
     std::fill(c + c0, c + c1, 0.0f);
@@ -644,11 +722,11 @@ fusedGatherSumScale(const float *x, const std::uint32_t *gather,
 {
     OpTimer timer(OpClass::Aggregate,
                   (n * d * dim + 2 * n * dim) * sizeof(float));
-    const bool use_simd = simdActive();
+    const wide::Kernels *lanes = wideActive();
     parallelRows(n, n * d * dim,
                  [&](std::size_t v0, std::size_t v1) {
-                     if (use_simd)
-                         wide::fusedGatherSumScaleRows(
+                     if (lanes)
+                         lanes->fusedGatherSumScaleRows(
                              x, gather, out_rows, v0, v1, d, dim, norm,
                              out);
                      else
@@ -666,11 +744,11 @@ fusedGatherScaledAdd(const float *x, const std::uint32_t *gather,
 {
     OpTimer timer(OpClass::Aggregate,
                   (n * d * dim + 2 * n * dim) * sizeof(float));
-    const bool use_simd = simdActive();
+    const wide::Kernels *lanes = wideActive();
     parallelRows(n, n * d * dim,
                  [&](std::size_t v0, std::size_t v1) {
-                     if (use_simd)
-                         wide::fusedGatherScaledAddRows(
+                     if (lanes)
+                         lanes->fusedGatherScaledAddRows(
                              x, gather, out_rows, v0, v1, d, dim, norm,
                              out);
                      else
@@ -688,14 +766,14 @@ fusedScatterScaledAdd(const float *grad, const std::uint32_t *out_rows,
 {
     OpTimer timer(OpClass::Aggregate,
                   3 * n * d * dim * sizeof(float));
-    const bool use_simd = simdActive();
+    const wide::Kernels *lanes = wideActive();
     // Owner-partitioned over grad_x rows; every task scans the whole
     // gather list (like ops::scatterAddRows), so the work estimate
     // includes the scan itself.
     parallelRows(grad_x_rows, n * d * (dim + 1),
                  [&](std::size_t r0, std::size_t r1) {
-                     if (use_simd)
-                         wide::fusedScatterScaledAddRows(
+                     if (lanes)
+                         lanes->fusedScatterScaledAddRows(
                              grad, out_rows, gather, n, d, dim, norm,
                              grad_x, r0, r1);
                      else
@@ -715,12 +793,12 @@ fusedLstmForward(const float *zx, const float *zh, const float *bias,
     // Reads zx, zh (4h each), c_prev; writes seven h-wide outputs.
     OpTimer timer(OpClass::Elementwise,
                   (16 * n * h + 4 * h) * sizeof(float));
-    const bool use_simd = simdActive();
+    const wide::Kernels *lanes = wideActive();
     // Five owned transcendentals per hidden unit: in VecF lanes about
     // twice the backward pass's cost per unit.
     parallelRows(n, 40 * n * h, [&](std::size_t r0, std::size_t r1) {
-        if (use_simd)
-            wide::fusedLstmForwardRows(zx, zh, bias, c_prev, r0, r1, h,
+        if (lanes)
+            lanes->fusedLstmForwardRows(zx, zh, bias, c_prev, r0, r1, h,
                                        i, f, g, o, c, tanh_c, h_out);
         else
             scalarLstmForwardRows(zx, zh, bias, c_prev, r0, r1, h, i,
@@ -737,10 +815,10 @@ fusedLstmBackward(const float *dh, const float *dc_in, const float *i,
 {
     // Reads eight h-wide inputs; writes dz (4h) and dc_prev.
     OpTimer timer(OpClass::Elementwise, 13 * n * h * sizeof(float));
-    const bool use_simd = simdActive();
+    const wide::Kernels *lanes = wideActive();
     parallelRows(n, 20 * n * h, [&](std::size_t r0, std::size_t r1) {
-        if (use_simd)
-            wide::fusedLstmBackwardRows(dh, dc_in, i, f, g, o, c_prev,
+        if (lanes)
+            lanes->fusedLstmBackwardRows(dh, dc_in, i, f, g, o, c_prev,
                                         tanh_c, r0, r1, h, dz, dc_prev);
         else
             scalarLstmBackwardRows(dh, dc_in, i, f, g, o, c_prev,

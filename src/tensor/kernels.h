@@ -81,8 +81,9 @@ bool simdAvailable();
  *  unavailable. */
 std::size_t simdWidth();
 
-/** ISA of the wide path compiled into this binary: "avx2", "neon",
- *  or "scalar" (BUFFALO_SIMD=OFF builds). */
+/** ISA of the wide build this CPU runs, the widest it supports:
+ *  "avx512", "avx2", "neon", or "scalar" (BUFFALO_SIMD=OFF builds
+ *  and CPUs without the ISA). */
 const char *simdIsaName();
 
 /** Parses "auto" / "off" / "on"; throws InvalidArgument otherwise. */

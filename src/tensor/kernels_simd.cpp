@@ -1,11 +1,15 @@
 /**
  * @file
- * Wide-ISA implementations of the kernel layer (declared in
+ * Wide-ISA implementations of the kernel layer (the Kernels table of
  * tensor/kernels_wide.h). This is the ONLY translation unit allowed
- * to include tensor/simd.h: CMake compiles it with the target ISA
- * flags (-mavx2 -ffp-contract=off on x86-64 when BUFFALO_SIMD=ON),
- * and without BUFFALO_SIMD_ENABLED it degrades to the scalar VecF
- * lane so the symbols always exist.
+ * to include tensor/simd.h. CMake compiles it once per lane type with
+ * that ISA's flags: -mavx2 and -mavx512f objects on x86-64 when
+ * BUFFALO_SIMD=ON (never -mfma; -ffp-contract=off is global), one
+ * NEON object on AArch64, and without BUFFALO_SIMD_ENABLED a
+ * scalar-lane object, so a table always exists. Each build defines
+ * everything in its own namespace, wide::<isa> (the ISA simd.h
+ * resolved), with the kernels themselves at internal linkage: only
+ * wide::<isa>::table() is visible to the linker.
  *
  * Bitwise contract with the scalar kernels in kernels.cpp: lanes map
  * only to independent output elements (GEMM j-columns, elementwise
@@ -15,8 +19,8 @@
  * (simd.h mulAdd — never an FMA). The LSTM forward's exp, tanh and
  * sigmoid are the VecF forms of tensor/transcendental.h, the same
  * operation sequence as the scalar forms. The kernels_test.cpp memcmp
- * sweeps compare this path against the scalar path at every width ×
- * thread count.
+ * sweeps compare every build the CPU runs against the scalar path at
+ * every thread count.
  *
  * GEMM additionally packs the current B tile into a contiguous panel
  * (tile_k x tile_n floats, thread_local storage) so the micro-kernel
@@ -30,7 +34,7 @@
 
 #include "tensor/simd.h"
 
-namespace buffalo::tensor::kernels::wide {
+namespace buffalo::tensor::kernels::wide::BUFFALO_SIMD_ISA {
 
 namespace {
 
@@ -49,34 +53,43 @@ packBuffer()
 }
 
 /**
- * Packs B rows [kp, kend) x columns [jp, jend) into a contiguous
- * (kend-kp) x (jend-jp) panel.
+ * Packs the B tile rows [kp, kend) x columns [jp, jend) into a
+ * contiguous (kend-kp) x (jend-jp) panel. B is k x n, or with
+ * @p transposed stored n x k (the B of A * B^T), read column-wise.
  */
-float *
-packPanel(const float *b, std::size_t n, std::size_t kp,
-          std::size_t kend, std::size_t jp, std::size_t jend)
+const float *
+packPanel(const float *b, bool transposed, std::size_t k,
+          std::size_t n, std::size_t kp, std::size_t kend,
+          std::size_t jp, std::size_t jend)
 {
     std::vector<float> &store = packBuffer();
     const std::size_t tw = jend - jp;
     store.resize((kend - kp) * tw);
     float *panel = store.data();
-    for (std::size_t kk = kp; kk < kend; ++kk)
-        std::copy(b + kk * n + jp, b + kk * n + jend,
-                  panel + (kk - kp) * tw);
+    if (transposed) {
+        for (std::size_t j = jp; j < jend; ++j)
+            for (std::size_t kk = kp; kk < kend; ++kk)
+                panel[(kk - kp) * tw + (j - jp)] = b[j * k + kk];
+    } else {
+        for (std::size_t kk = kp; kk < kend; ++kk)
+            std::copy(b + kk * n + jp, b + kk * n + jend,
+                      panel + (kk - kp) * tw);
+    }
     return panel;
 }
 
 /**
  * The shared A*B tile micro-kernel: rows [r0, r1) of C against the
- * packed panel. @p arow_of maps (row, kk) to the A element so the
- * same body serves gemmRows (A row-major) and gemmTransposeARows
- * (A column-major). A 4-row x 2-vector block keeps eight independent
- * accumulator chains in flight, enough to hide the add latency; each
- * broadcast A value feeds two vectors and each panel load four rows.
- * A 1-vector and a scalar column tail follow, then single rows. Each
- * C element is loaded once per tile, accumulated in a register over
- * the panel's kk (k-ascending), and stored — the serial per-element
- * order for any tiling.
+ * packed panel. @p arow_at maps (row, kk) to the A element so the
+ * same body serves gemmRows and gemmTransposeBRows (A row-major) and
+ * gemmTransposeARows (A column-major). A 4-row x 2-vector block keeps
+ * eight independent accumulator chains in flight, enough to hide the
+ * add latency at 8 and at 16 lanes; each broadcast A value feeds two
+ * vectors and each panel load four rows. A 1-vector and a scalar
+ * column tail follow, then single rows. Each C element is loaded once
+ * per tile, accumulated in a register over the panel's kk
+ * (k-ascending), and stored — the serial per-element order for any
+ * tiling.
  */
 template <typename ARowAt>
 void
@@ -239,50 +252,18 @@ vsigmoid(s::VecF z)
     return s::div(one, s::add(one, vexp(s::sub(s::zero(), z))));
 }
 
-} // namespace
-
-bool
-available()
-{
-#if defined(BUFFALO_SIMD_AVX2)
-    static const bool supported = __builtin_cpu_supports("avx2") != 0;
-    return supported;
-#elif defined(BUFFALO_SIMD_NEON)
-    return true;
-#else
-    return false;
-#endif
-}
-
-std::size_t
-width()
-{
-    return W;
-}
-
-const char *
-isaName()
-{
-    return s::isaName();
-}
-
-float
-hsumTree(const float *lanes, std::size_t n)
-{
-    float scratch[64];
-    std::copy(lanes, lanes + n, scratch);
-    while (n > 1) {
-        n /= 2;
-        for (std::size_t i = 0; i < n; ++i)
-            scratch[i] = scratch[i] + scratch[i + n];
-    }
-    return scratch[0];
-}
-
+/**
+ * Rows [r0, r1) of C = A * B (or A * B^T with @p b_transposed) over
+ * tile_k x tile_n B tiles: the rows are zeroed, then every tile is
+ * packed and swept by the micro-kernel, so each C element sums
+ * k-ascending from +0, the order of the scalar loops and dot
+ * products in kernels.cpp.
+ */
+template <typename ARowAt>
 void
-gemmRows(const float *a, const float *b, float *c, std::size_t r0,
-         std::size_t r1, std::size_t k, std::size_t n,
-         std::size_t tile_k, std::size_t tile_n)
+tiledGemmRows(ARowAt arow_at, const float *b, bool b_transposed,
+              float *c, std::size_t r0, std::size_t r1, std::size_t k,
+              std::size_t n, std::size_t tile_k, std::size_t tile_n)
 {
     for (std::size_t i = r0; i < r1; ++i)
         std::fill(c + i * n, c + (i + 1) * n, 0.0f);
@@ -292,14 +273,22 @@ gemmRows(const float *a, const float *b, float *c, std::size_t r0,
         const std::size_t kend = std::min(k, kp + tile_k);
         for (std::size_t jp = 0; jp < n; jp += tile_n) {
             const std::size_t jend = std::min(n, jp + tile_n);
-            const float *panel = packPanel(b, n, kp, kend, jp, jend);
-            tileMicroKernel(
-                [a, k](std::size_t row, std::size_t kk) {
-                    return a[row * k + kk];
-                },
-                panel, c, r0, r1, n, kp, kend, jp, jend);
+            const float *panel =
+                packPanel(b, b_transposed, k, n, kp, kend, jp, jend);
+            tileMicroKernel(arow_at, panel, c, r0, r1, n, kp, kend, jp,
+                            jend);
         }
     }
+}
+
+void
+gemmRows(const float *a, const float *b, float *c, std::size_t r0,
+         std::size_t r1, std::size_t k, std::size_t n,
+         std::size_t tile_k, std::size_t tile_n)
+{
+    tiledGemmRows(
+        [a, k](std::size_t row, std::size_t kk) { return a[row * k + kk]; },
+        b, false, c, r0, r1, k, n, tile_k, tile_n);
 }
 
 void
@@ -308,88 +297,23 @@ gemmTransposeARows(const float *a, const float *b, float *c,
                    std::size_t m, std::size_t n, std::size_t tile_k,
                    std::size_t tile_n)
 {
-    for (std::size_t i = r0; i < r1; ++i)
-        std::fill(c + i * n, c + (i + 1) * n, 0.0f);
-    if (k == 0 || n == 0)
-        return;
-    for (std::size_t kp = 0; kp < k; kp += tile_k) {
-        const std::size_t kend = std::min(k, kp + tile_k);
-        for (std::size_t jp = 0; jp < n; jp += tile_n) {
-            const std::size_t jend = std::min(n, jp + tile_n);
-            const float *panel = packPanel(b, n, kp, kend, jp, jend);
-            // C row i is A column i: a[kk*m + i].
-            tileMicroKernel(
-                [a, m](std::size_t row, std::size_t kk) {
-                    return a[kk * m + row];
-                },
-                panel, c, r0, r1, n, kp, kend, jp, jend);
-        }
-    }
+    // C row i is A column i: a[kk*m + i].
+    tiledGemmRows(
+        [a, m](std::size_t row, std::size_t kk) { return a[kk * m + row]; },
+        b, false, c, r0, r1, k, n, tile_k, tile_n);
 }
 
 void
 gemmTransposeBRows(const float *a, const float *b, float *c,
                    std::size_t r0, std::size_t r1, std::size_t k,
-                   std::size_t n)
+                   std::size_t n, std::size_t tile_k, std::size_t tile_n)
 {
-    // W dot products run in W lanes: pack the W B rows transposed
-    // (panel[kk*W + l] = b[(j+l)*k + kk]) so each kk step is one
-    // unit-stride load, broadcast a[i][kk], and accumulate — every
-    // lane's dot still sums k-ascending in its own register, exactly
-    // like the scalar four-wide blocking. Four A rows share each
-    // panel load, so four independent chains hide the add latency.
-    std::vector<float> &store = packBuffer();
-    const std::size_t j_wide = (W > 1) ? n - n % W : 0;
-    for (std::size_t j = 0; j < j_wide; j += W) {
-        store.resize(k * W);
-        float *panel = store.data();
-        for (std::size_t l = 0; l < W; ++l) {
-            const float *brow = b + (j + l) * k;
-            for (std::size_t kk = 0; kk < k; ++kk)
-                panel[kk * W + l] = brow[kk];
-        }
-        std::size_t i = r0;
-        for (; i + 4 <= r1; i += 4) {
-            const float *a0 = a + (i + 0) * k;
-            const float *a1 = a + (i + 1) * k;
-            const float *a2 = a + (i + 2) * k;
-            const float *a3 = a + (i + 3) * k;
-            s::VecF acc0 = s::zero();
-            s::VecF acc1 = s::zero();
-            s::VecF acc2 = s::zero();
-            s::VecF acc3 = s::zero();
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const s::VecF bv = s::load(panel + kk * W);
-                acc0 = s::mulAdd(s::broadcast(a0[kk]), bv, acc0);
-                acc1 = s::mulAdd(s::broadcast(a1[kk]), bv, acc1);
-                acc2 = s::mulAdd(s::broadcast(a2[kk]), bv, acc2);
-                acc3 = s::mulAdd(s::broadcast(a3[kk]), bv, acc3);
-            }
-            s::store(c + (i + 0) * n + j, acc0);
-            s::store(c + (i + 1) * n + j, acc1);
-            s::store(c + (i + 2) * n + j, acc2);
-            s::store(c + (i + 3) * n + j, acc3);
-        }
-        for (; i < r1; ++i) {
-            const float *arow = a + i * k;
-            s::VecF acc = s::zero();
-            for (std::size_t kk = 0; kk < k; ++kk)
-                acc = s::mulAdd(s::broadcast(arow[kk]),
-                                s::load(panel + kk * W), acc);
-            s::store(c + i * n + j, acc);
-        }
-    }
-    for (std::size_t i = r0; i < r1; ++i) {
-        const float *arow = a + i * k;
-        float *crow = c + i * n;
-        for (std::size_t j = j_wide; j < n; ++j) {
-            const float *brow = b + j * k;
-            float dot = 0.0f;
-            for (std::size_t kk = 0; kk < k; ++kk)
-                dot += arow[kk] * brow[kk];
-            crow[j] = dot;
-        }
-    }
+    // B^T packed tile by tile: the same 4 x 2 block as A * B, each
+    // lane one dot product, so its eight chains hide the add latency
+    // that four chains left exposed at 16 lanes.
+    tiledGemmRows(
+        [a, k](std::size_t row, std::size_t kk) { return a[row * k + kk]; },
+        b, true, c, r0, r1, k, n, tile_k, tile_n);
 }
 
 void
@@ -719,4 +643,35 @@ fusedLstmBackwardRows(const float *dh, const float *dc_in,
     }
 }
 
-} // namespace buffalo::tensor::kernels::wide
+} // namespace
+
+const Kernels &
+table()
+{
+    static const Kernels kernels{
+        .isa = s::isaName(),
+        .width = W,
+        .gemmRows = gemmRows,
+        .gemmTransposeARows = gemmTransposeARows,
+        .gemmTransposeBRows = gemmTransposeBRows,
+        .ewAdd = ewAdd,
+        .ewSubtract = ewSubtract,
+        .ewMultiply = ewMultiply,
+        .ewScale = ewScale,
+        .ewAddInPlace = ewAddInPlace,
+        .ewScaleInPlace = ewScaleInPlace,
+        .ewRelu = ewRelu,
+        .ewReluBackward = ewReluBackward,
+        .ewAddRowBroadcast = ewAddRowBroadcast,
+        .ewColumnSum = ewColumnSum,
+        .fusedGatherSumScaleRows = fusedGatherSumScaleRows,
+        .fusedGatherScaledAddRows = fusedGatherScaledAddRows,
+        .fusedScatterScaledAddRows = fusedScatterScaledAddRows,
+        .transcendentalRows = transcendentalRows,
+        .fusedLstmForwardRows = fusedLstmForwardRows,
+        .fusedLstmBackwardRows = fusedLstmBackwardRows,
+    };
+    return kernels;
+}
+
+} // namespace buffalo::tensor::kernels::wide::BUFFALO_SIMD_ISA

@@ -1,9 +1,10 @@
 /**
  * @file
  * Portable SIMD lane-group wrappers for the kernel layer (DESIGN.md,
- * "Compute kernels"). One vector type, `VecF`, backed by AVX2
- * (8 lanes), AArch64 NEON (4 lanes), or a plain scalar lane (width 1)
- * when the translation unit is built without a wide ISA. 32-bit ARM
+ * "Compute kernels"). One vector type, `VecF`, backed by AVX-512F
+ * (16 lanes), AVX2 (8 lanes), AArch64 NEON (4 lanes), or a plain
+ * scalar lane (width 1) when the translation unit is built without a
+ * wide ISA. The widest ISA the TU's flags enable wins. 32-bit ARM
  * NEON is left to the scalar lane: it lacks vdivq and flushes
  * subnormals to zero, so it could not match the scalar path.
  *
@@ -13,44 +14,196 @@
  * multiply followed by a separate add, never a fused multiply-add —
  * and lanes are only ever mapped to *independent* output elements.
  * Because no operation mixes lanes, results are bitwise identical at
- * any lane width, including width 1. The hot kernels (GEMM, the
- * elementwise ops, the fused aggregator chains) therefore need no
+ * any lane width, including width 1. The kernels therefore need no
  * lane-reduction rules at all: each output element's contributions
  * accumulate k-ascending (t-ascending for aggregators) within its
  * own lane, exactly like the scalar reference.
  *
- * The one horizontal primitive, hsum(), reduces a lane group with a
- * *fixed pairwise tree* — (l0+l1)+(l2+l3)... halved repeatedly in
- * lane order — so any future kernel that does need a cross-lane
- * reduction has a single, width-documented order to standardize on.
- * No shipped kernel currently calls it on a hot path; it exists so
- * the reduction order is pinned by code (and tested) rather than
- * re-invented per call site.
- *
- * This header must only be included from translation units compiled
- * with the matching ISA flags (tensor/kernels_simd.cpp, which CMake
- * builds with -mavx2 -ffp-contract=off on x86-64 when BUFFALO_SIMD
- * is ON). Including it from differently-flagged TUs would create ODR
- * mismatches between inline definitions.
+ * This header must only be included from tensor/kernels_simd.cpp,
+ * which CMake compiles once per x86-64 ISA (-mavx2, -mavx512f) when
+ * BUFFALO_SIMD is ON. Everything here lives in an inline namespace
+ * named after the ISA (simd::avx512, simd::avx2, simd::neon,
+ * simd::scalar): the inline definitions of two builds would
+ * otherwise share mangled names, and the linker could hand an AVX2
+ * caller the AVX-512 body.
  */
 #pragma once
 
 #include <cstddef>
 
-#if defined(BUFFALO_SIMD_ENABLED) && defined(__AVX2__)
+#if defined(BUFFALO_SIMD_ENABLED) && defined(__AVX512F__)
+#define BUFFALO_SIMD_AVX512 1
+#define BUFFALO_SIMD_ISA avx512
+#elif defined(BUFFALO_SIMD_ENABLED) && defined(__AVX2__)
 #define BUFFALO_SIMD_AVX2 1
-#include <immintrin.h>
+#define BUFFALO_SIMD_ISA avx2
 #elif defined(BUFFALO_SIMD_ENABLED) && defined(__ARM_NEON) &&          \
     defined(__aarch64__)
 #define BUFFALO_SIMD_NEON 1
+#define BUFFALO_SIMD_ISA neon
 #include <arm_neon.h>
+#else
+#define BUFFALO_SIMD_ISA scalar
+#endif
+
+#if defined(BUFFALO_SIMD_AVX512) || defined(BUFFALO_SIMD_AVX2)
+// GCC 12's avx512fintrin.h seeds _mm512_{max,min}_ps,
+// _mm512_slli_epi32 and _mm512_andnot_si512 with a deliberately
+// undefined vector, which -W(maybe-)uninitialized reports at every
+// inlined call; the warnings point into the header, so silencing
+// them around the include leaves our own code checked.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+#include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #endif
 
 #include "tensor/transcendental.h"
 
 namespace buffalo::tensor::simd {
+inline namespace BUFFALO_SIMD_ISA {
 
-#if defined(BUFFALO_SIMD_AVX2)
+#if defined(BUFFALO_SIMD_AVX512)
+
+/** One 16-lane single-precision group (AVX-512F). */
+struct VecF
+{
+    __m512 v;
+    static constexpr std::size_t kWidth = 16;
+};
+
+inline const char *
+isaName()
+{
+    return "avx512";
+}
+
+inline VecF
+load(const float *p)
+{
+    return {_mm512_loadu_ps(p)};
+}
+
+inline void
+store(float *p, VecF x)
+{
+    _mm512_storeu_ps(p, x.v);
+}
+
+inline VecF
+broadcast(float x)
+{
+    return {_mm512_set1_ps(x)};
+}
+
+inline VecF
+zero()
+{
+    return {_mm512_setzero_ps()};
+}
+
+inline VecF
+add(VecF a, VecF b)
+{
+    return {_mm512_add_ps(a.v, b.v)};
+}
+
+inline VecF
+sub(VecF a, VecF b)
+{
+    return {_mm512_sub_ps(a.v, b.v)};
+}
+
+inline VecF
+mul(VecF a, VecF b)
+{
+    return {_mm512_mul_ps(a.v, b.v)};
+}
+
+/** Lane-wise `a > b ? a : b` (maxps returns b on NaN). */
+inline VecF
+max(VecF a, VecF b)
+{
+    return {_mm512_max_ps(a.v, b.v)};
+}
+
+/** Lane-wise `a < b ? a : b` (minps returns b on NaN, like the
+ *  scalar ternary). */
+inline VecF
+min(VecF a, VecF b)
+{
+    return {_mm512_min_ps(a.v, b.v)};
+}
+
+/** IEEE division: correctly rounded, so every width agrees. */
+inline VecF
+div(VecF a, VecF b)
+{
+    return {_mm512_div_ps(a.v, b.v)};
+}
+
+/** Lane-wise `a < b ? x : y` (ordered: NaN selects y). */
+inline VecF
+selectLt(VecF a, VecF b, VecF x, VecF y)
+{
+    const __mmask16 mask = _mm512_cmp_ps_mask(a.v, b.v, _CMP_LT_OQ);
+    return {_mm512_mask_blend_ps(mask, y.v, x.v)};
+}
+
+/** |x|: the sign bit cleared. AVX-512F has no float and/andnot
+ *  (that is AVX-512DQ), so the bit ops run on the integer view. */
+inline VecF
+abs(VecF x)
+{
+    const __m512i sign =
+        _mm512_set1_epi32(static_cast<int>(math::kSignBit));
+    return {_mm512_castsi512_ps(
+        _mm512_andnot_si512(sign, _mm512_castps_si512(x.v)))};
+}
+
+/** The magnitude of @p mag with the sign bit of @p sign. */
+inline VecF
+copySign(VecF mag, VecF sign)
+{
+    const __m512i bit =
+        _mm512_set1_epi32(static_cast<int>(math::kSignBit));
+    return {_mm512_castsi512_ps(_mm512_or_si512(
+        _mm512_andnot_si512(bit, _mm512_castps_si512(mag.v)),
+        _mm512_and_si512(bit, _mm512_castps_si512(sign.v))))};
+}
+
+/** 2^n for integer-valued n in [-126, 127] (see math::pow2i). */
+inline VecF
+pow2i(VecF n)
+{
+    const __m512 t = _mm512_add_ps(n.v, _mm512_set1_ps(math::kPow2Magic));
+    return {_mm512_castsi512_ps(
+        _mm512_slli_epi32(_mm512_castps_si512(t), 23))};
+}
+
+/** acc + a*b as a separate mul and add — never _mm512_fmadd_ps. */
+inline VecF
+mulAdd(VecF a, VecF b, VecF acc)
+{
+    return {_mm512_add_ps(acc.v, _mm512_mul_ps(a.v, b.v))};
+}
+
+/** Lane-wise `c > 0 ? x : +0.0f` (an ordered compare: NaN and -0.0
+ *  in c select +0, like the scalar ternary). */
+inline VecF
+selectGtZero(VecF c, VecF x)
+{
+    const __mmask16 mask =
+        _mm512_cmp_ps_mask(c.v, _mm512_setzero_ps(), _CMP_GT_OQ);
+    return {_mm512_maskz_mov_ps(mask, x.v)};
+}
+
+#elif defined(BUFFALO_SIMD_AVX2)
 
 /** One 8-lane single-precision group (AVX2). */
 struct VecF
@@ -434,24 +587,5 @@ selectGtZero(VecF c, VecF x)
 /** Active lane-group width for this translation unit. */
 inline constexpr std::size_t kWidth = VecF::kWidth;
 
-/**
- * Horizontal sum with the pinned pairwise lane-reduction tree:
- * lanes are halved in order — (l0+l1)+(l2+l3) ... — so the result
- * is a pure function of the lane values, never of the ISA's own
- * shuffle idioms. Width 1 returns the lane unchanged.
- */
-inline float
-hsum(VecF x)
-{
-    float lanes[VecF::kWidth];
-    store(lanes, x);
-    std::size_t n = VecF::kWidth;
-    while (n > 1) {
-        n /= 2;
-        for (std::size_t i = 0; i < n; ++i)
-            lanes[i] = lanes[i] + lanes[i + n];
-    }
-    return lanes[0];
-}
-
+} // namespace BUFFALO_SIMD_ISA
 } // namespace buffalo::tensor::simd

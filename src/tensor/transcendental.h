@@ -26,8 +26,9 @@
  * 2 / 2 / 3 ulp).
  *
  * The functions have internal linkage: kernels_simd.cpp includes this
- * header under wide-ISA flags, and an inline definition shared across
- * translation units could hand that copy to a baseline-flagged caller.
+ * header once per wide ISA (-mavx2 and -mavx512f on x86-64), and an
+ * inline definition shared across translation units could hand one of
+ * those copies to a baseline-flagged caller or to the other build.
  */
 #pragma once
 

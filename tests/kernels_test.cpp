@@ -15,6 +15,7 @@
 #include "nn/aggregators.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
+#include "simd_lanes.h"
 #include "tensor/kernels.h"
 #include "tensor/kernels_wide.h"
 #include "tensor/ops.h"
@@ -26,6 +27,11 @@ namespace buffalo::tensor {
 namespace {
 
 namespace ops = buffalo::tensor;
+namespace wide = kernels::wide;
+using testing_simd::SimdLane;
+using testing_simd::laneName;
+using testing_simd::setConfigAt;
+using testing_simd::sweepLanes;
 
 kernels::KernelConfig
 serialConfig()
@@ -44,22 +50,6 @@ parallelConfig(std::size_t threads = 4)
     cfg.min_parallel_work = 1;
     cfg.min_rows_per_task = 1;
     return cfg;
-}
-
-/**
- * SIMD modes the sweeps cover: the scalar path always, plus the wide
- * path (Auto and a forced On) whenever this build/CPU has it. On a
- * scalar-only host the sweep degenerates to Off/Auto, both scalar —
- * the widths that do exist are still pinned bit-for-bit.
- */
-std::vector<kernels::SimdMode>
-sweepSimdModes()
-{
-    std::vector<kernels::SimdMode> modes = {kernels::SimdMode::Off,
-                                            kernels::SimdMode::Auto};
-    if (kernels::simdAvailable())
-        modes.push_back(kernels::SimdMode::On);
-    return modes;
 }
 
 Tensor
@@ -143,17 +133,19 @@ refMatmulTransposeB(const Tensor &a, const Tensor &b)
 class KernelsTest : public ::testing::Test
 {
   protected:
-    void TearDown() override { kernels::setConfig({}); }
+    void TearDown() override { testing_simd::resetDispatch(); }
 };
 
 /**
- * Shape classes: empty, single, odd, tile-multiple, tile+1. 24 and 40
- * leave one vector after the two-vector column loop at width 8.
+ * Shape classes: empty, single, odd, tile-multiple, tile+1. After the
+ * two-vector column loop, 24 and 40 leave one vector at width 8; at
+ * width 16, 48 leaves one vector and 56 one vector plus a scalar
+ * tail.
  */
-const std::size_t kDims[] = {0, 1, 3, 24, 40, 64, 65, 128};
+const std::size_t kDims[] = {0, 1, 3, 24, 40, 48, 56, 64, 65, 128};
 
 /** Row counts: kDims plus 5, one row past a four-row block. */
-const std::size_t kRows[] = {0, 1, 3, 5, 24, 40, 64, 65, 128};
+const std::size_t kRows[] = {0, 1, 3, 5, 24, 40, 48, 56, 64, 65, 128};
 
 TEST_F(KernelsTest, GemmBitwiseAcrossShapesTilesAndThreads)
 {
@@ -175,7 +167,7 @@ TEST_F(KernelsTest, GemmBitwiseAcrossShapesTilesAndThreads)
                 const Tensor ta1 = ops::matmulTransposeA(at, b);
                 const Tensor tb1 = ops::matmulTransposeB(a, bt);
 
-                for (kernels::SimdMode mode : sweepSimdModes()) {
+                for (const SimdLane &lane : sweepLanes(true)) {
                     // Oddball tiles change nothing but iteration
                     // shape.
                     kernels::KernelConfig tiny = parallelConfig(3);
@@ -183,22 +175,21 @@ TEST_F(KernelsTest, GemmBitwiseAcrossShapesTilesAndThreads)
                     tiny.tile_k = 8;
                     for (kernels::KernelConfig cfg :
                          {serialConfig(), parallelConfig(), tiny}) {
-                        cfg.simd = mode;
-                        kernels::setConfig(cfg);
+                        setConfigAt(cfg, lane);
                         EXPECT_TRUE(
                             bitwiseEqual(c1, ops::matmul(a, b)))
                             << m << "x" << k << "x" << n << " simd="
-                            << kernels::simdModeName(mode)
+                            << laneName(lane)
                             << " threads=" << cfg.threads;
                         EXPECT_TRUE(bitwiseEqual(
                             ta1, ops::matmulTransposeA(at, b)))
                             << m << "x" << k << "x" << n << " simd="
-                            << kernels::simdModeName(mode)
+                            << laneName(lane)
                             << " threads=" << cfg.threads;
                         EXPECT_TRUE(bitwiseEqual(
                             tb1, ops::matmulTransposeB(a, bt)))
                             << m << "x" << k << "x" << n << " simd="
-                            << kernels::simdModeName(mode)
+                            << laneName(lane)
                             << " threads=" << cfg.threads;
                     }
                 }
@@ -242,12 +233,11 @@ TEST_F(KernelsTest, ElementwiseAndGatherBitwiseParallelVsSerial)
         Tensor scatter_serial = Tensor::zeros(rows, cols);
         ops::scatterAddRows(scatter_serial, gathered, idx);
 
-        for (kernels::SimdMode mode : sweepSimdModes()) {
+        for (const SimdLane &lane : sweepLanes(true)) {
             for (kernels::KernelConfig cfg :
                  {serialConfig(), parallelConfig()}) {
-                cfg.simd = mode;
-                kernels::setConfig(cfg);
-                const char *tag = kernels::simdModeName(mode);
+                setConfigAt(cfg, lane);
+                const std::string tag = laneName(lane);
                 EXPECT_TRUE(bitwiseEqual(sums, ops::add(a, b)))
                     << tag;
                 EXPECT_TRUE(bitwiseEqual(relus, ops::relu(a)))
@@ -313,11 +303,10 @@ TEST_F(KernelsTest, AggregatorsBitwiseParallelVsSerial)
                 EXPECT_EQ(out_a.rows(), n);
                 EXPECT_EQ(gin_a.rows(), n * d);
 
-                for (kernels::SimdMode mode : sweepSimdModes()) {
+                for (const SimdLane &lane : sweepLanes(true)) {
                     for (kernels::KernelConfig cfg :
                          {serialConfig(), parallelConfig()}) {
-                        cfg.simd = mode;
-                        kernels::setConfig(cfg);
+                        setConfigAt(cfg, lane);
                         util::Rng rng_b(23);
                         auto agg_b =
                             nn::makeAggregator(kind, "t", dim, rng_b);
@@ -329,11 +318,11 @@ TEST_F(KernelsTest, AggregatorsBitwiseParallelVsSerial)
 
                         EXPECT_TRUE(bitwiseEqual(out_a, out_b))
                             << nn::aggregatorName(kind) << " fwd n=" << n
-                            << " simd=" << kernels::simdModeName(mode)
+                            << " simd=" << laneName(lane)
                             << " threads=" << cfg.threads;
                         EXPECT_TRUE(bitwiseEqual(gin_a, gin_b))
                             << nn::aggregatorName(kind) << " bwd n=" << n
-                            << " simd=" << kernels::simdModeName(mode)
+                            << " simd=" << laneName(lane)
                             << " threads=" << cfg.threads;
                     }
                 }
@@ -464,12 +453,24 @@ TEST_F(KernelsTest, SimdQueriesReflectActiveMode)
     EXPECT_EQ(kernels::simdWidth(), 1u);
 
     kernels::setConfig({}); // Auto
+    const std::vector<std::size_t> widths = wide::runnableWidths();
     if (kernels::simdAvailable()) {
+        // Auto dispatches at the widest build the CPU runs.
         EXPECT_GT(kernels::simdWidth(), 1u);
+        EXPECT_EQ(kernels::simdWidth(), widths.back());
         EXPECT_STRNE(kernels::simdIsaName(), "scalar");
+        for (std::size_t width : widths) {
+            wide::selectWidth(width);
+            EXPECT_EQ(kernels::simdWidth(), width);
+            EXPECT_STREQ(kernels::simdIsaName(),
+                         wide::build(width).isa);
+        }
+        wide::selectWidth(0);
+        EXPECT_EQ(kernels::simdWidth(), widths.back());
     } else {
         EXPECT_EQ(kernels::simdWidth(), 1u);
     }
+    EXPECT_THROW(wide::build(3), InvalidArgument);
 
     EXPECT_EQ(kernels::simdModeFromName("auto"),
               kernels::SimdMode::Auto);
@@ -489,7 +490,7 @@ TEST_F(KernelsTest, FusedAggregateKernelsMatchScalarComposition)
 {
     // The fused gather->reduce->scatter entry points against plain
     // scalar references written with the exact same expression
-    // forms, across every SIMD mode x thread count.
+    // forms, across every SIMD lane x thread count.
     const std::size_t n = 67, d = 3, dim = 21;
     util::Rng rng(29);
     const Tensor x = randomTensor(n * d, dim, rng);
@@ -540,12 +541,11 @@ TEST_F(KernelsTest, FusedAggregateKernelsMatchScalarComposition)
     // — out_rows here is a permutation, so each output row is built
     // by exactly one i on both sides.
 
-    for (kernels::SimdMode mode : sweepSimdModes()) {
+    for (const SimdLane &lane : sweepLanes(true)) {
         for (kernels::KernelConfig cfg :
              {serialConfig(), parallelConfig()}) {
-            cfg.simd = mode;
-            kernels::setConfig(cfg);
-            const char *tag = kernels::simdModeName(mode);
+            setConfigAt(cfg, lane);
+            const std::string tag = laneName(lane);
 
             Tensor out_sum = Tensor::zeros(n, dim);
             kernels::fusedGatherSumScale(x.data(), gather.data(),
@@ -584,7 +584,6 @@ ulpError(float got, double want)
 TEST_F(KernelsTest, OwnedTranscendentalsAreAccurateAndWidthInvariant)
 {
     namespace m = tensor::math;
-    namespace wide = kernels::wide;
     const auto linspace = [](float lo, float hi, std::size_t n) {
         std::vector<float> x(n);
         for (std::size_t k = 0; k < n; ++k)
@@ -660,23 +659,9 @@ TEST_F(KernelsTest, OwnedTranscendentalsAreAccurateAndWidthInvariant)
     };
     checkSpecials("scalar", m::exp, m::tanh, m::sigmoid);
 
-    // The VecF form runs only where the host can execute it; a
-    // scalar-only build runs its width-1 lane.
-    if (!kernels::simdAvailable() && wide::width() > 1)
-        GTEST_SKIP() << "host lacks " << wide::isaName();
-    const auto wideOne = [&](wide::Transcendental fn) {
-        return [fn](float x) {
-            // x in every lane of a full group, then once in the tail.
-            std::vector<float> in(wide::width() + 1, x), out(in.size());
-            wide::transcendentalRows(fn, in.data(), out.data(),
-                                     in.size());
-            return out[0];
-        };
-    };
-    checkSpecials("VecF", wideOne(wide::Transcendental::Exp),
-                  wideOne(wide::Transcendental::Tanh),
-                  wideOne(wide::Transcendental::Sigmoid));
-
+    // The VecF form of every build the host can execute: 8 and 16
+    // lanes on an AVX-512 host, the width-1 lane in a scalar-only
+    // build.
     std::vector<float> sweep = gate;
     sweep.insert(sweep.end(), exp_range.begin(), exp_range.end());
     sweep.insert(sweep.end(), tiny.begin(), tiny.end());
@@ -684,26 +669,46 @@ TEST_F(KernelsTest, OwnedTranscendentalsAreAccurateAndWidthInvariant)
         sweep.push_back(x);
         sweep.push_back(0.25f);
     }
-    for (wide::Transcendental fn :
-         {wide::Transcendental::Exp, wide::Transcendental::Tanh,
-          wide::Transcendental::Sigmoid}) {
-        std::vector<float> got(sweep.size());
-        wide::transcendentalRows(fn, sweep.data(), got.data(),
-                                 sweep.size());
-        std::size_t mismatches = 0;
-        for (std::size_t k = 0; k < sweep.size(); ++k) {
-            const float want = fn == wide::Transcendental::Exp
-                                   ? m::exp(sweep[k])
-                               : fn == wide::Transcendental::Tanh
-                                   ? m::tanh(sweep[k])
-                                   : m::sigmoid(sweep[k]);
-            const bool same =
-                std::isnan(want)
-                    ? std::isnan(got[k])
-                    : std::memcmp(&want, &got[k], sizeof want) == 0;
-            mismatches += same ? 0 : 1;
+    for (std::size_t width : wide::runnableWidths()) {
+        const wide::Kernels &lanes = wide::build(width);
+        const std::string form = "VecF/" + std::to_string(width);
+        const auto wideOne = [&](wide::Transcendental fn) {
+            return [&lanes, fn](float x) {
+                // x in every lane of a full group, then once in the
+                // tail.
+                std::vector<float> in(lanes.width + 1, x),
+                    out(in.size());
+                lanes.transcendentalRows(fn, in.data(), out.data(),
+                                         in.size());
+                return out[0];
+            };
+        };
+        checkSpecials(form.c_str(), wideOne(wide::Transcendental::Exp),
+                      wideOne(wide::Transcendental::Tanh),
+                      wideOne(wide::Transcendental::Sigmoid));
+
+        for (wide::Transcendental fn :
+             {wide::Transcendental::Exp, wide::Transcendental::Tanh,
+              wide::Transcendental::Sigmoid}) {
+            std::vector<float> got(sweep.size());
+            lanes.transcendentalRows(fn, sweep.data(), got.data(),
+                                     sweep.size());
+            std::size_t mismatches = 0;
+            for (std::size_t k = 0; k < sweep.size(); ++k) {
+                const float want = fn == wide::Transcendental::Exp
+                                       ? m::exp(sweep[k])
+                                   : fn == wide::Transcendental::Tanh
+                                       ? m::tanh(sweep[k])
+                                       : m::sigmoid(sweep[k]);
+                const bool same =
+                    std::isnan(want)
+                        ? std::isnan(got[k])
+                        : std::memcmp(&want, &got[k], sizeof want) == 0;
+                mismatches += same ? 0 : 1;
+            }
+            EXPECT_EQ(mismatches, 0u)
+                << form << " fn=" << static_cast<int>(fn);
         }
-        EXPECT_EQ(mismatches, 0u) << static_cast<int>(fn);
     }
 }
 
@@ -712,9 +717,9 @@ TEST_F(KernelsTest, FusedLstmPassesMatchOpChain)
     // The fused LSTM cell passes against the op chain they replace
     // (slice / sigmoid / tanh / multiply / add forward; the
     // elementwise backward with its per-gate loops), across every
-    // SIMD mode x thread count. h = 20 ends each row in a scalar tail
-    // after two 8-wide vectors, h = 64 is whole vectors only; the 4x
-    // input range saturates gates.
+    // SIMD lane x thread count. h = 20 ends each row in a scalar tail
+    // after two 8-wide vectors or one 16-wide one, h = 64 is whole
+    // vectors only; the 4x input range saturates gates.
     for (const auto &[n, h] : std::vector<
              std::pair<std::size_t, std::size_t>>{
              {0, 3}, {1, 1}, {7, 3}, {33, 20}, {130, 24}, {9, 64}}) {
@@ -767,13 +772,12 @@ TEST_F(KernelsTest, FusedLstmPassesMatchOpChain)
             }
         }
 
-        for (kernels::SimdMode mode : sweepSimdModes()) {
+        for (const SimdLane &lane : sweepLanes(true)) {
             for (kernels::KernelConfig cfg :
                  {serialConfig(), parallelConfig()}) {
-                cfg.simd = mode;
-                kernels::setConfig(cfg);
+                setConfigAt(cfg, lane);
                 const std::string tag =
-                    std::string(kernels::simdModeName(mode)) + " n=" +
+                    laneName(lane) + " n=" +
                     std::to_string(n) + " h=" + std::to_string(h) +
                     " threads=" + std::to_string(cfg.threads);
                 Tensor fi = Tensor::uninitialized(n, h);

@@ -13,6 +13,7 @@
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "simd_lanes.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -243,32 +244,29 @@ lstmAggregatorDigest()
  * Golden digest of the LSTM aggregator, computed from the unfused
  * slice/sigmoid/tanh/concat cell with the owned exp and tanh
  * (tensor/transcendental.h) and the 4x1 / one-chain GEMM kernels. It
- * must hold at every SIMD mode and thread count; any change here
- * means a numeric LSTM output changed.
+ * must hold at every SIMD width the CPU runs (1, 8 and 16 on an
+ * AVX-512 host) and thread count; any change here means a numeric
+ * LSTM output changed.
  */
 TEST(Aggregators, LstmDigestIsPinnedAcrossSimdAndThreads)
 {
     const std::uint64_t golden = 0xa761d47f2144e53cULL;
-    std::vector<tensor::kernels::SimdMode> modes = {
-        tensor::kernels::SimdMode::Off};
-    if (tensor::kernels::simdAvailable())
-        modes.push_back(tensor::kernels::SimdMode::On);
-    for (tensor::kernels::SimdMode mode : modes) {
+    for (const testing_simd::SimdLane &lane :
+         testing_simd::sweepLanes()) {
         for (std::size_t threads : {1u, 4u}) {
             tensor::kernels::KernelConfig cfg;
             cfg.threads = threads;
-            cfg.simd = mode;
             if (threads > 1) {
                 // Fan out even the smallest steps.
                 cfg.min_parallel_work = 1;
                 cfg.min_rows_per_task = 1;
             }
-            tensor::kernels::setConfig(cfg);
+            testing_simd::setConfigAt(cfg, lane);
             const std::uint64_t digest = lstmAggregatorDigest();
-            tensor::kernels::setConfig({});
+            testing_simd::resetDispatch();
             EXPECT_EQ(digest, golden)
                 << std::hex << "0x" << digest << " simd="
-                << tensor::kernels::simdModeName(mode)
+                << testing_simd::laneName(lane)
                 << " threads=" << std::dec << threads;
         }
     }
@@ -550,32 +548,28 @@ modelDigest()
 /**
  * Golden digest of every architecture, last computed when the LSTM
  * gates and GAT's softmax moved to the owned exp and tanh
- * (tensor/transcendental.h). It must hold at every SIMD mode and
- * thread count; any change here means a logit, a gradient or a device
- * peak changed.
+ * (tensor/transcendental.h). It must hold at every SIMD width the
+ * CPU runs and thread count; any change here means a logit, a
+ * gradient or a device peak changed.
  */
 TEST(Models, DigestIsPinnedAcrossSimdAndThreads)
 {
     const std::uint64_t golden = 0x897d2016cceff055ULL;
-    std::vector<tensor::kernels::SimdMode> modes = {
-        tensor::kernels::SimdMode::Off};
-    if (tensor::kernels::simdAvailable())
-        modes.push_back(tensor::kernels::SimdMode::On);
-    for (tensor::kernels::SimdMode mode : modes) {
+    for (const testing_simd::SimdLane &lane :
+         testing_simd::sweepLanes()) {
         for (std::size_t threads : {1u, 4u}) {
             tensor::kernels::KernelConfig cfg;
             cfg.threads = threads;
-            cfg.simd = mode;
             if (threads > 1) {
                 cfg.min_parallel_work = 1;
                 cfg.min_rows_per_task = 1;
             }
-            tensor::kernels::setConfig(cfg);
+            testing_simd::setConfigAt(cfg, lane);
             const std::uint64_t digest = modelDigest();
-            tensor::kernels::setConfig({});
+            testing_simd::resetDispatch();
             EXPECT_EQ(digest, golden)
                 << std::hex << "0x" << digest << " simd="
-                << tensor::kernels::simdModeName(mode)
+                << testing_simd::laneName(lane)
                 << " threads=" << std::dec << threads;
         }
     }

@@ -2,21 +2,23 @@
 # CI driver — the full static-analysis and sanitizer matrix
 # (DESIGN.md, "Static analysis & sanitizer matrix"):
 #
-#   1. Release build + full test suite + lint leg (buffalo_lint over
-#      src/ and the ci.sh expectation lists) + observability smoke
-#      epoch gated by obs_validate (trace, metrics, JSONL run log,
-#      memory-audit error bound) + one-epoch GCN and GAT smokes
-#      gated on the `@core` run-log events + serving smoke (short
-#      fixed-QPS buffalo_serve run asserting nonzero goodput and zero
-#      errors, gated by obs_validate `@serve`) + buffalo_profile
-#      critical-path gates over the observability and serving smokes'
-#      artifacts (all stages present, dominant stage identified,
-#      overlap efficiency in (0, 1]) + bench-smoke, bench-kernels,
-#      bench-fig12, bench-fig11, bench-serve and bench-pipeline
-#      regression legs gated by bench_diff against the committed
-#      baselines. The observability and serving smokes enable the
-#      feature cache with the presample policy and expect the
-#      `@cache` observability names.
+#   1. Release build + full test suite + a check that neither wide-ISA
+#      kernel object (AVX2, AVX-512F) holds an FMA instruction + lint
+#      leg (buffalo_lint over src/ and the ci.sh expectation lists) +
+#      observability smoke epoch gated by obs_validate (trace,
+#      metrics, JSONL run log, memory-audit error bound) + one-epoch
+#      GCN and GAT smokes gated on the `@core` run-log events +
+#      serving smoke (short fixed-QPS buffalo_serve run asserting
+#      nonzero goodput and zero errors, gated by obs_validate
+#      `@serve`) + buffalo_profile critical-path gates over the
+#      observability and serving smokes' artifacts (all stages
+#      present, dominant stage identified, overlap efficiency in
+#      (0, 1]) + bench-smoke, bench-kernels (its log names the SIMD
+#      lane the host resolved), bench-fig12, bench-fig11, bench-serve
+#      and bench-pipeline regression legs gated by bench_diff against
+#      the committed baselines. The observability and serving smokes
+#      enable the feature cache with the presample policy and expect
+#      the `@cache` observability names.
 #   2. Scalar build + tests with -DBUFFALO_SIMD=OFF: the wide-ISA
 #      kernel path is compiled out, so the dispatch must fall back to
 #      scalar lanes and every bitwise-determinism sweep must still
@@ -46,6 +48,31 @@ echo "=== Release build + tests ==="
 cmake -B "${prefix}-release" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${prefix}-release" -j "${jobs}"
 ctest --test-dir "${prefix}-release" --output-on-failure -j "${jobs}"
+
+echo "=== No FMA in the wide-ISA objects ==="
+# The determinism contract forbids fused multiply-adds: every lane
+# rounds its multiply and its add separately, like the scalar path.
+# Neither -mavx2 nor -mavx512f implies -mfma in GCC 12, but AVX-512F
+# carries its own zmm FMAs, so a stray intrinsic or a contraction
+# would not fail the build. On x86-64 both per-ISA objects must exist
+# and hold no vfmadd/vfmsub/vfnmadd/vfnmsub instruction.
+if [[ "$(uname -m)" == "x86_64" ]]; then
+    objs_dir="${prefix}-release/src/tensor/CMakeFiles"
+    wide_objs=("${objs_dir}"/buffalo_wide_*.dir/kernels_simd.cpp.o)
+    if [[ ${#wide_objs[@]} -ne 2 || ! -f "${wide_objs[0]}" ]]; then
+        echo "expected the avx2 and avx512f kernel objects," \
+            "found: ${wide_objs[*]}"
+        exit 1
+    fi
+    for obj in "${wide_objs[@]}"; do
+        fma_count="$(objdump -d --no-show-raw-insn "${obj}" |
+            grep -cE 'vfn?m(add|sub)' || true)"
+        echo "${obj}: ${fma_count} FMA instructions"
+        if [[ "${fma_count}" -ne 0 ]]; then
+            exit 1
+        fi
+    done
+fi
 
 echo "=== Project lint ==="
 # The linter scans src/, tools/, bench/, and tests/ and writes the
@@ -164,7 +191,12 @@ BUFFALO_BENCH_DIR="${bench_dir}" "${prefix}-release/bench/bench_smoke"
     bench/baselines/BENCH_smoke.json \
     "${bench_dir}/BENCH_smoke.json"
 BUFFALO_BENCH_DIR="${bench_dir}" \
-    "${prefix}-release/bench/bench_kernels"
+    "${prefix}-release/bench/bench_kernels" |
+    tee "${bench_dir}/bench_kernels.log"
+# The lane the kernel floors were measured on: the widest this host
+# runs (simdIsaName(), "avx512" or "avx2" on x86-64).
+simd_lane="$(grep '^simd:' "${bench_dir}/bench_kernels.log")"
+echo "bench-kernels SIMD lane: ${simd_lane#simd: }"
 "${prefix}-release/tools/bench_diff" \
     bench/baselines/BENCH_kernels.json \
     "${bench_dir}/BENCH_kernels.json"
