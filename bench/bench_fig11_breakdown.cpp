@@ -14,7 +14,6 @@
 
 #include "baselines/betty.h"
 #include "core/scheduler.h"
-#include "obs/critical_path.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "util/thread_pool.h"
@@ -75,31 +74,33 @@ scheduleSpeedup4t(const graph::Dataset &data,
 }
 
 /**
- * Routes the per-phase times through the same critical-path
- * decomposition buffalo_profile uses. A serial trainer is a
- * one-item chain, so each stage's CP self time equals its measured
- * phase time — the table stays identical while the accounting path
- * is shared with the analyzer instead of ad-hoc phase sums.
+ * A phase's cost as the paper's breakdown shows it: measured host plus
+ * modeled device seconds.
  */
-obs::CriticalPathReport
+double
+phaseSeconds(const train::IterationStats &stats, train::Phase phase)
+{
+    return stats.phases.measured(phase) + stats.phases.modeled(phase);
+}
+
+/**
+ * Adds one row of per-phase cost to @p table.
+ * @return The largest phase, the dominant stage of a serial iteration.
+ */
+train::Phase
 printBreakdown(const std::string &system,
                const train::IterationStats &stats, util::Table &table)
 {
-    std::vector<std::string> order;
-    std::vector<double> durations;
-    for (const train::Phase phase : train::kAllPhases) {
-        order.push_back(train::phaseName(phase));
-        durations.push_back(
-            stats.phases.get(train::phaseName(phase)));
-    }
-    const obs::CriticalPathReport cp =
-        obs::analyzeModeledPipeline(order, {durations});
     std::vector<std::string> row{system};
-    for (const obs::CpStageReport &stage : cp.stages)
-        row.push_back(util::formatSeconds(stage.cp_self_us / 1e6));
+    train::Phase dominant = train::kAllPhases.front();
+    for (const train::Phase phase : train::kAllPhases) {
+        row.push_back(util::formatSeconds(phaseSeconds(stats, phase)));
+        if (phaseSeconds(stats, phase) > phaseSeconds(stats, dominant))
+            dominant = phase;
+    }
     row.push_back(util::formatSeconds(stats.endToEndSeconds()));
     table.addRow(std::move(row));
-    return cp;
+    return dominant;
 }
 
 /**
@@ -177,16 +178,17 @@ runDataset(graph::DatasetId id, std::size_t num_seeds, int betty_k,
                              scheduleSpeedup4t(data, seeds, trainer),
                              kScheduleSpeedupFloor);
         }
-        const obs::CriticalPathReport cp =
+        const train::Phase dominant =
             printBreakdown("Buffalo", stats, table);
         buffalo_total = stats.endToEndSeconds();
-        if (!cp.dominant_stage.empty()) {
+        if (buffalo_total > 0.0) {
+            const double share =
+                phaseSeconds(stats, dominant) / buffalo_total;
             std::printf("Buffalo dominant stage: %s (%.1f%% of the "
-                        "critical path)\n",
-                        cp.dominant_stage.c_str(),
-                        100.0 * cp.dominant_share);
+                        "iteration)\n",
+                        train::phaseName(dominant), 100.0 * share);
             reporter.info(data.name() + ".buffalo_dominant_share",
-                          cp.dominant_share);
+                          share);
         }
     }
     table.print();

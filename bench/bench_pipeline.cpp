@@ -233,7 +233,8 @@ policySweep(bench::Reporter &reporter)
         // Sampling and the feature stage are seeded and
         // single-threaded under the cost model, so hit counts diff
         // exactly across runs.
-        reporter.metric("policy_" + stats.cache.policy + "_hit_rate",
+        reporter.metric(std::string("policy_") + stats.cache.policy +
+                            "_hit_rate",
                         rate, 0.0);
         table.addRow({stats.cache.policy,
                       util::formatPercent(rate),

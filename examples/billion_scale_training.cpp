@@ -76,7 +76,7 @@ main()
             util::formatBytes(stats.peak_device_bytes).c_str(),
             util::formatBytes(budget).c_str(),
             util::formatSeconds(
-                stats.phases.get(train::phaseName(train::Phase::GpuCompute)))
+                stats.phases.modeled(train::Phase::GpuCompute))
                 .c_str(),
             util::formatSeconds(stats.endToEndSeconds()).c_str());
     }

@@ -110,20 +110,22 @@ BettyPartitioner::buildReg(const SampledSubgraph &sg) const
 }
 
 std::vector<NodeList>
-BettyPartitioner::partition(const SampledSubgraph &sg, int num_parts)
+BettyPartitioner::partition(const SampledSubgraph &sg, int num_parts,
+                            obs::PhaseTimes *times) const
 {
     checkArgument(num_parts >= 1,
                   "BettyPartitioner: need >= 1 part");
-    phases_ = BettyPhases{};
 
     util::StopWatch watch;
     WeightedGraph reg = buildReg(sg);
-    phases_.reg_construction_seconds = watch.seconds();
+    if (times)
+        times->addMeasured(obs::Phase::RegConstruction, watch.seconds());
 
     watch.reset();
     partition::MetisLike metis(metis_options_);
     partition::Assignment assignment = metis.partition(reg, num_parts);
-    phases_.metis_seconds = watch.seconds();
+    if (times)
+        times->addMeasured(obs::Phase::MetisPartition, watch.seconds());
 
     std::vector<NodeList> parts(num_parts);
     for (NodeId seed = 0; seed < sg.numSeeds(); ++seed)

@@ -19,6 +19,7 @@
 
 #include <vector>
 
+#include "obs/phase.h"
 #include "partition/metis_like.h"
 #include "sampling/sampled_subgraph.h"
 #include "util/errors.h"
@@ -33,13 +34,6 @@ class BettyUnsupported : public Error
 {
   public:
     explicit BettyUnsupported(const std::string &what) : Error(what) {}
-};
-
-/** Timing breakdown of one Betty partitioning call (Fig. 11 phases). */
-struct BettyPhases
-{
-    double reg_construction_seconds = 0.0;
-    double metis_seconds = 0.0;
 };
 
 /** Betty's batch-level partitioner. */
@@ -58,15 +52,15 @@ class BettyPartitioner
 
     /**
      * Splits the batch's output nodes into @p num_parts seed groups.
+     * @param times Optional: receives the measured "REG construction"
+     *        and "METIS partition" phases of Fig. 11.
      * @return one NodeList of subgraph-local seed ids per part (empty
      *         parts removed).
      * @throws BettyUnsupported if any seed has zero sampled in-edges.
      */
     std::vector<NodeList> partition(const SampledSubgraph &sg,
-                                    int num_parts);
-
-    /** Phase timings of the most recent partition() call. */
-    const BettyPhases &lastPhases() const { return phases_; }
+                                    int num_parts,
+                                    obs::PhaseTimes *times = nullptr) const;
 
     /** Builds the REG (exposed for tests). */
     partition::WeightedGraph buildReg(const SampledSubgraph &sg) const;
@@ -74,7 +68,6 @@ class BettyPartitioner
   private:
     partition::MetisLikeOptions metis_options_;
     int pair_cap_;
-    BettyPhases phases_;
 };
 
 } // namespace buffalo::baselines

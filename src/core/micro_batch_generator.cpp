@@ -13,21 +13,21 @@ MicroBatchGenerator::MicroBatchGenerator(
 sampling::MicroBatch
 MicroBatchGenerator::generateOne(const SampledSubgraph &sg,
                                  const BucketGroup &group,
-                                 util::PhaseTimer *timer) const
+                                 obs::PhaseTimes *times) const
 {
-    return generator_->generate(sg, group.outputSeeds(), timer);
+    return generator_->generate(sg, group.outputSeeds(), times);
 }
 
 std::vector<sampling::MicroBatch>
 MicroBatchGenerator::generate(
     const SampledSubgraph &sg,
     const std::vector<BucketGroup> &groups,
-    util::PhaseTimer *timer) const
+    obs::PhaseTimes *times) const
 {
     std::vector<sampling::MicroBatch> batches;
     batches.reserve(groups.size());
     for (const auto &group : groups)
-        batches.push_back(generateOne(sg, group, timer));
+        batches.push_back(generateOne(sg, group, times));
     return batches;
 }
 

@@ -29,12 +29,12 @@ class MicroBatchGenerator
     std::vector<sampling::MicroBatch> generate(
         const SampledSubgraph &sg,
         const std::vector<BucketGroup> &groups,
-        util::PhaseTimer *timer = nullptr) const;
+        obs::PhaseTimes *times = nullptr) const;
 
     /** Generates the micro-batch of a single group. */
     sampling::MicroBatch generateOne(const SampledSubgraph &sg,
                                      const BucketGroup &group,
-                                     util::PhaseTimer *timer =
+                                     obs::PhaseTimes *times =
                                          nullptr) const;
 
     /** The underlying block-generation strategy. */

@@ -50,16 +50,7 @@ recordEpochMetrics(const train::EpochReport &report)
         .setMax(static_cast<double>(report.stages.max_ready_queue));
     m.gauge(obs::names::kGaugePipelinePeakHostBytes)
         .setMax(static_cast<double>(report.stages.peak_host_bytes));
-    m.gauge(obs::names::kGaugeCacheHits).set(static_cast<double>(report.cache.hits));
-    m.gauge(obs::names::kGaugeCacheMisses)
-        .set(static_cast<double>(report.cache.misses));
-    m.gauge(obs::names::kGaugeCacheHitRate).set(report.cache.hitRate());
-    m.gauge(obs::names::kGaugeCacheBytesInUse)
-        .set(static_cast<double>(report.cache.bytes_in_use));
-    m.gauge(obs::names::kGaugeCacheResidentNodes)
-        .set(static_cast<double>(report.cache.resident_nodes));
-    m.gauge(obs::names::kGaugeCachePinnedNodes)
-        .set(static_cast<double>(report.cache.pinned_nodes));
+    publishCacheGauges(report.cache);
     m.gauge(obs::names::kGaugeCpWallSeconds)
         .set(report.cp.wall_us / 1e6);
     m.gauge(obs::names::kGaugeCpSerialSeconds)
@@ -153,16 +144,7 @@ PipelineTrainer::trainEpochImpl(
         report.serial_seconds += prep + row[3];
     }
 
-    const FeatureCacheStats cache = cache_->stats();
-    report.cache.policy = cache.policy;
-    report.cache.hits = cache.hits;
-    report.cache.misses = cache.misses;
-    report.cache.insertions = cache.insertions;
-    report.cache.evictions = cache.evictions;
-    report.cache.pinned_nodes = cache.pinned_nodes;
-    report.cache.resident_nodes = cache.resident_nodes;
-    report.cache.bytes_in_use = cache.bytes_in_use;
-    report.cache.capacity_bytes = cache.capacity_bytes;
+    report.cache = cache_->stats();
 
     // Critical-path attribution over the same per-batch durations
     // that drive the overlap recurrence — available even when the
@@ -197,8 +179,7 @@ PipelineTrainer::trainEpochImpl(
             .field("hit_rate", report.cache.hitRate())
             .field("insertions", report.cache.insertions)
             .field("evictions", report.cache.evictions)
-            .field("resident_nodes",
-                   std::uint64_t(report.cache.resident_nodes))
+            .field("resident_nodes", report.cache.resident_nodes)
             .field("bytes_in_use", report.cache.bytes_in_use)
             .field("capacity_bytes", report.cache.capacity_bytes);
     }

@@ -69,7 +69,7 @@ struct PreparedBatch
     /** Host bytes charged against the ByteBudget until release(). */
     std::uint64_t staged_bytes = 0;
     /** Preparation phases (sampling/scheduling/block gen), measured. */
-    util::PhaseTimer phases;
+    obs::PhaseTimes phases;
     /** Per-stage busy seconds, for the pipeline overlap model. */
     double sample_seconds = 0.0;
     double build_seconds = 0.0;
@@ -133,8 +133,8 @@ class Prefetcher
     {
         std::size_t index = 0;
         sampling::SampledSubgraph sg;
+        /** Measured sampling seconds. */
         double seconds = 0.0;
-        util::PhaseTimer phases;
     };
 
     void sampleStage(std::vector<graph::NodeList> batches,

@@ -8,6 +8,7 @@
 #include "obs/trace.h"
 #include "obs/names.h"
 #include "util/errors.h"
+#include "util/timer.h"
 
 namespace buffalo::sampling {
 
@@ -70,10 +71,10 @@ checkOutputs(const SampledSubgraph &sg, const NodeList &output_locals)
 }
 
 void
-charge(util::PhaseTimer *timer, Phase phase, util::StopWatch &watch)
+charge(obs::PhaseTimes *times, Phase phase, util::StopWatch &watch)
 {
-    if (timer)
-        timer->add(phaseName(phase), watch.seconds());
+    if (times)
+        times->addMeasured(phase, watch.seconds());
     watch.reset();
 }
 
@@ -145,7 +146,7 @@ FastBlockGenerator::FastBlockGenerator(util::ThreadPool *pool,
 MicroBatch
 FastBlockGenerator::generate(const SampledSubgraph &sg,
                              const NodeList &output_locals,
-                             util::PhaseTimer *timer) const
+                             obs::PhaseTimes *times) const
 {
     checkOutputs(sg, output_locals);
     obs::Span span(obs::names::kSpanBlockgenFast);
@@ -199,7 +200,7 @@ FastBlockGenerator::generate(const SampledSubgraph &sg,
         }
         for (std::size_t i = 0; i < dst.size(); ++i)
             block.offsets[i + 1] += block.offsets[i];
-        charge(timer, Phase::ConnectionCheck, watch);
+        charge(times, Phase::ConnectionCheck, watch);
 
         // Block construction: append new sources in first-seen order
         // while streaming the CSR rows straight into the block.
@@ -293,10 +294,10 @@ FastBlockGenerator::generate(const SampledSubgraph &sg,
                 });
         }
         dst = block.src_nodes; // subgraph-local ids
-        charge(timer, Phase::BlockConstruction, watch);
+        charge(times, Phase::BlockConstruction, watch);
     }
     translateToGlobal(mb, sg);
-    charge(timer, Phase::BlockConstruction, watch);
+    charge(times, Phase::BlockConstruction, watch);
     recordBlockSizes(mb);
     return mb;
 }
@@ -304,7 +305,7 @@ FastBlockGenerator::generate(const SampledSubgraph &sg,
 MicroBatch
 BaselineBlockGenerator::generate(const SampledSubgraph &sg,
                                  const NodeList &output_locals,
-                                 util::PhaseTimer *timer) const
+                                 obs::PhaseTimes *times) const
 {
     checkOutputs(sg, output_locals);
     obs::Span span(obs::names::kSpanBlockgenBaseline);
@@ -348,14 +349,14 @@ BaselineBlockGenerator::generate(const SampledSubgraph &sg,
                     row.push_back(local);
             }
         }
-        charge(timer, Phase::ConnectionCheck, watch);
+        charge(times, Phase::ConnectionCheck, watch);
 
         mb.blocks[layer] = assembleBlock(dst, rows);
         dst = mb.blocks[layer].src_nodes;
-        charge(timer, Phase::BlockConstruction, watch);
+        charge(times, Phase::BlockConstruction, watch);
     }
     translateToGlobal(mb, sg);
-    charge(timer, Phase::BlockConstruction, watch);
+    charge(times, Phase::BlockConstruction, watch);
     recordBlockSizes(mb);
     return mb;
 }

@@ -23,7 +23,6 @@
 #include "sampling/block.h"
 #include "sampling/sampled_subgraph.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace buffalo::sampling {
 
@@ -43,13 +42,13 @@ class BlockGenerator
      * of the subgraph's seed nodes this micro-batch owns. Ids must be
      * unique seeds (i.e. < sg.numSeeds()).
      *
-     * @param timer Optional: receives the "connection check" (neighbor
-     *        tracking) and "block construction" (assembly) phase
-     *        split of Fig. 11.
+     * @param times Optional: receives the measured "connection check"
+     *        (neighbor tracking) and "block construction" (assembly)
+     *        phase split of Fig. 11.
      */
     virtual MicroBatch generate(const SampledSubgraph &sg,
                                 const NodeList &output_locals,
-                                util::PhaseTimer *timer = nullptr)
+                                obs::PhaseTimes *times = nullptr)
         const = 0;
 
     /** Human-readable strategy name for reports. */
@@ -89,7 +88,7 @@ class FastBlockGenerator : public BlockGenerator
 
     MicroBatch generate(const SampledSubgraph &sg,
                         const NodeList &output_locals,
-                        util::PhaseTimer *timer = nullptr)
+                        obs::PhaseTimes *times = nullptr)
         const override;
 
     std::string name() const override { return "buffalo-fast"; }
@@ -105,7 +104,7 @@ class BaselineBlockGenerator : public BlockGenerator
   public:
     MicroBatch generate(const SampledSubgraph &sg,
                         const NodeList &output_locals,
-                        util::PhaseTimer *timer = nullptr)
+                        obs::PhaseTimes *times = nullptr)
         const override;
 
     std::string name() const override { return "baseline-recheck"; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "nn/memory_model.h"
-#include "sampling/bucketing.h"
 #include "util/errors.h"
 
 namespace buffalo::train {
@@ -35,24 +34,19 @@ runBuffaloDataParallel(const graph::Dataset &dataset,
     BuffaloTrainer probe(options, lead);
 
     // Host side: sampling + scheduling + block generation run once.
-    util::PhaseTimer host_phases;
+    obs::PhaseTimes host_phases;
     sampling::NeighborSampler sampler(options.fanouts);
     sampling::SampledSubgraph sg = [&] {
         obs::PhaseScope scope(host_phases, Phase::Sampling);
         return sampler.sample(dataset.graph(), seeds, rng);
     }();
 
-    core::SchedulerOptions sched_options = options.scheduler;
-    if (sched_options.mem_constraint == 0)
-        sched_options.mem_constraint = lead.allocator().capacity();
-    sched_options.reserved_bytes = probe.staticBytes();
-
     core::BuffaloScheduler scheduler(
         probe.model().memoryModel(),
-        dataset.spec().paper_avg_coefficient, sched_options);
+        dataset.spec().paper_avg_coefficient,
+        probe.resolvedSchedulerOptions());
     core::ScheduleResult schedule = scheduler.schedule(sg);
-    host_phases.add(phaseName(Phase::Scheduling),
-                    schedule.schedule_seconds);
+    host_phases.addMeasured(Phase::Scheduling, schedule.schedule_seconds);
 
     core::MicroBatchGenerator generator;
     std::vector<sampling::MicroBatch> micro_batches =
@@ -67,15 +61,13 @@ runBuffaloDataParallel(const graph::Dataset &dataset,
         const auto &mb = micro_batches[i];
         const int dev = static_cast<int>(i % devices.size());
         const auto &cm = devices.device(dev).costModel();
-        std::uint64_t launches = 0;
-        for (const auto &block : mb.blocks)
-            launches += sampling::bucketizeBlock(block).size() * 4 + 4;
         device_seconds[dev] +=
             cm.transferSeconds(mm.transferBytes(mb)) +
-            cm.kernelsSeconds(mm.microBatchFlops(mb), launches);
+            cm.kernelsSeconds(mm.microBatchFlops(mb),
+                              kernelLaunchCount(mb));
     }
 
-    result.host_seconds = host_phases.total();
+    result.host_seconds = host_phases.measuredSeconds();
     result.device_seconds = *std::max_element(device_seconds.begin(),
                                               device_seconds.end());
     result.allreduce_seconds =

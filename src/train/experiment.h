@@ -27,13 +27,14 @@ std::vector<EpochReport> runTraining(TrainerBase &trainer,
 /** Result of one simulated data-parallel iteration (paper §V-G). */
 struct MultiGpuStats
 {
-    /** End-to-end seconds: host phases + slowest device + all-reduce. */
+    /** End-to-end seconds on both clocks: measured host phases +
+     *  modeled slowest device + modeled all-reduce. */
     double iteration_seconds = 0.0;
-    /** The host-side share (scheduling + block generation). */
+    /** Measured host share (sampling, scheduling, block generation). */
     double host_seconds = 0.0;
-    /** Max over devices of their compute+transfer time. */
+    /** Modeled max over devices of their compute+transfer time. */
     double device_seconds = 0.0;
-    /** Gradient all-reduce seconds. */
+    /** Modeled gradient all-reduce seconds. */
     double allreduce_seconds = 0.0;
     int num_micro_batches = 0;
 };

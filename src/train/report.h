@@ -17,11 +17,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "obs/audit.h"
 #include "obs/critical_path.h"
-#include "util/timer.h"
+#include "obs/phase.h"
 
 namespace buffalo::train {
 
@@ -74,20 +73,25 @@ struct PipelineOptions
     int presample_batches = 8;
 };
 
-/** Feature-cache section of an EpochReport (pipelined runs only). */
-struct CacheReport
+/**
+ * Feature-cache counter snapshot (pipeline::FeatureCache::stats()) and
+ * the cache section of an EpochReport (pipelined runs only). Rates
+ * are derived; all counts are monotonic.
+ */
+struct FeatureCacheStats
 {
-    /** Policy name ("lru" | "degree" | "presample"); empty = no cache. */
-    std::string policy;
+    /** Policy name ("lru" | "degree" | "presample"); "" = no cache. */
+    const char *policy = "";
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
-    std::size_t pinned_nodes = 0;
-    std::size_t resident_nodes = 0;
+    std::uint64_t pinned_nodes = 0;
+    std::uint64_t resident_nodes = 0;
     std::uint64_t bytes_in_use = 0;
     std::uint64_t capacity_bytes = 0;
 
+    /** hits / (hits + misses), 0 when never queried. */
     double
     hitRate() const
     {
@@ -102,6 +106,7 @@ struct CacheReport
 /** Prefetch-stage section of an EpochReport (pipelined runs only). */
 struct StageReport
 {
+    /** Measured busy seconds of each preparation stage. */
     double sample_busy_seconds = 0.0;
     double build_busy_seconds = 0.0;
     double feature_busy_seconds = 0.0;
@@ -125,27 +130,29 @@ struct EpochReport
     int num_micro_batches = 0;
 
     /**
-     * Serial end-to-end seconds: host-measured phases + simulated
-     * device time, summed over the epoch's iterations.
+     * Serial end-to-end seconds on both clocks: measured host phases +
+     * modeled device time, summed over the epoch's iterations.
      */
     double epoch_seconds = 0.0;
-    /** Per-phase breakdown summed across the epoch's iterations. */
-    util::PhaseTimer phases;
+    /** Per-phase seconds summed across the epoch's iterations, each
+     *  clock (measured, modeled) kept apart. */
+    obs::PhaseTimes phases;
 
     /** True when the prefetch pipeline produced this epoch. */
     bool pipelined = false;
     /**
-     * Modeled epoch wall-clock with preparation overlapped behind
-     * device execution (pipelined runs; 0 otherwise).
+     * Epoch wall-clock of the overlap model, with measured host
+     * preparation overlapped behind modeled device execution, so on
+     * both clocks (pipelined runs; 0 otherwise).
      */
     double pipelined_seconds = 0.0;
-    /** The same costs summed serially (pipelined runs). */
+    /** The same costs summed serially, both clocks (pipelined runs). */
     double serial_seconds = 0.0;
-    /** Host-side preparation busy time across stages. */
+    /** Measured host preparation busy time across stages. */
     double prep_seconds = 0.0;
-    /** Simulated device (transfer + kernel) time. */
+    /** Modeled device (transfer + kernel) time. */
     double device_seconds = 0.0;
-    /** Real host wall-clock of the epoch loop. */
+    /** Measured host wall-clock of the epoch loop. */
     double wall_seconds = 0.0;
 
     std::uint64_t transfer_bytes = 0;
@@ -155,7 +162,7 @@ struct EpochReport
     StageReport stages;
     /** Cache counters since the trainer was built (the cache outlives
      *  epochs); transfer_saved_bytes covers this epoch only. */
-    CacheReport cache;
+    FeatureCacheStats cache;
     /**
      * Predicted-vs-actual memory accounting over the epoch's trained
      * bucket groups (DESIGN.md, "Memory audit & bench regression").
@@ -180,8 +187,8 @@ struct EpochReport
                    : 0.0;
     }
 
-    /** The epoch cost to compare across trainers: the modeled
-     *  pipelined time when pipelined, else the serial phase total. */
+    /** The epoch cost to compare across trainers, on both clocks:
+     *  the pipelined time when pipelined, else the serial total. */
     double
     effectiveSeconds() const
     {

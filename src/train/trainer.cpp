@@ -17,9 +17,6 @@
 
 namespace buffalo::train {
 
-namespace {
-
-/** Kernel launches a micro-batch incurs (per-bucket kernel batches). */
 std::uint64_t
 kernelLaunchCount(const sampling::MicroBatch &mb)
 {
@@ -33,8 +30,6 @@ kernelLaunchCount(const sampling::MicroBatch &mb)
     }
     return launches;
 }
-
-} // namespace
 
 std::vector<NodeList>
 makeBatches(const NodeList &nodes, std::size_t batch_size,
@@ -96,7 +91,7 @@ TrainerBase::~TrainerBase()
 sampling::SampledSubgraph
 TrainerBase::sampleBatch(const graph::Dataset &dataset,
                          const NodeList &seeds, util::Rng &rng,
-                         util::PhaseTimer &phases) const
+                         obs::PhaseTimes &phases) const
 {
     obs::PhaseScope scope(phases, Phase::Sampling);
     sampling::NeighborSampler sampler(options_.fanouts);
@@ -159,7 +154,7 @@ EpochFold::add(const IterationStats &stats)
     report_.outputs += stats.num_outputs;
     report_.num_micro_batches += stats.num_micro_batches;
     report_.epoch_seconds += stats.endToEndSeconds();
-    report_.phases.merge(stats.phases);
+    report_.phases += stats.phases;
     report_.peak_device_bytes =
         std::max(report_.peak_device_bytes, stats.peak_device_bytes);
     for (const obs::GroupMemRecord &record : stats.group_audit)
@@ -211,7 +206,8 @@ TrainerBase::processMicroBatch(const sampling::MicroBatch &mb,
     obs::Span span(obs::names::kSpanTrainMicroBatch);
     obs::metrics().counter(obs::names::kCtrTrainMicroBatches).add();
 
-    // --- Data loading: host feature fill + simulated PCIe transfer.
+    // --- Data loading: host feature fill (measured) + simulated PCIe
+    // transfer (modeled).
     // Rows the feature cache already holds device-resident are not
     // re-transferred; only the accounting changes, never the numerics.
     std::uint64_t transfer_bytes = mm.transferBytes(mb);
@@ -232,17 +228,14 @@ TrainerBase::processMicroBatch(const sampling::MicroBatch &mb,
         device_.costModel().kernelsSeconds(flops, launches);
 
     if (options_.mode == ExecutionMode::CostModel) {
-        stats.phases.add(phaseName(Phase::DataLoading),
-                         transfer_seconds);
+        stats.phases.addModeled(Phase::DataLoading, transfer_seconds);
         device_.chargeComputeSeconds(compute_seconds);
-        stats.phases.add(phaseName(Phase::GpuCompute),
-                         compute_seconds);
+        stats.phases.addModeled(Phase::GpuCompute, compute_seconds);
         // Logical allocation exercises the capacity/peak machinery.
         const std::uint64_t bytes =
             mm.microBatchBytes(mb) + extra_padding_bytes;
         allocator.onAllocate(bytes);
         allocator.onFree(bytes);
-        stats.total_block_nodes += mb.totalNodeCount();
         stats.num_outputs += mb.outputNodes().size();
         return transfer_seconds + compute_seconds;
     }
@@ -256,8 +249,8 @@ TrainerBase::processMicroBatch(const sampling::MicroBatch &mb,
     nn::Tensor feats =
         use_staged ? prepared->staged_features.clone(&allocator)
                    : loadFeatures(dataset, mb.inputNodes(), &allocator);
-    stats.phases.add(phaseName(Phase::DataLoading),
-                     watch.seconds() + transfer_seconds);
+    stats.phases.addMeasured(Phase::DataLoading, watch.seconds());
+    stats.phases.addModeled(Phase::DataLoading, transfer_seconds);
 
     std::optional<tensor::Tensor> padding_ballast;
     if (extra_padding_bytes > 0) {
@@ -273,12 +266,11 @@ TrainerBase::processMicroBatch(const sampling::MicroBatch &mb,
     model_->backward(loss_result.grad_logits, &allocator);
 
     device_.chargeComputeSeconds(compute_seconds);
-    stats.phases.add(phaseName(Phase::GpuCompute), compute_seconds);
+    stats.phases.addModeled(Phase::GpuCompute, compute_seconds);
 
     stats.loss += loss_result.loss;
     stats.correct += loss_result.correct;
     stats.num_outputs += outputs.size();
-    stats.total_block_nodes += mb.totalNodeCount();
     return transfer_seconds + compute_seconds;
 }
 
@@ -293,7 +285,7 @@ TrainerBase::optimizerStep(IterationStats &stats)
         4.0;
     const double seconds = device_.costModel().kernelsSeconds(flops, 2);
     device_.chargeComputeSeconds(seconds);
-    stats.phases.add(phaseName(Phase::GpuCompute), seconds);
+    stats.phases.addModeled(Phase::GpuCompute, seconds);
 }
 
 // ---------------------------------------------------------------------
@@ -375,7 +367,7 @@ BuffaloTrainer::trainIteration(const graph::Dataset &dataset,
                                const NodeList &seeds, util::Rng &rng)
 {
     obs::Span iteration_span(obs::names::kSpanTrainIteration);
-    util::PhaseTimer sampling_phases;
+    obs::PhaseTimes sampling_phases;
     auto sg = sampleBatch(dataset, seeds, rng, sampling_phases);
     return trainScheduled(dataset, sg, sampling_phases);
 }
@@ -383,7 +375,7 @@ BuffaloTrainer::trainIteration(const graph::Dataset &dataset,
 IterationStats
 BuffaloTrainer::trainScheduled(const graph::Dataset &dataset,
                                const sampling::SampledSubgraph &sg,
-                               const util::PhaseTimer &phases,
+                               const obs::PhaseTimes &phases,
                                const Prefetched *prefetched)
 {
     core::SchedulerOptions sched_options = resolvedSchedulerOptions();
@@ -399,7 +391,7 @@ BuffaloTrainer::trainScheduled(const graph::Dataset &dataset,
     for (int attempt = 0;; ++attempt) {
         const bool use_prefetched = prefetched != nullptr && attempt == 0;
         IterationStats stats;
-        stats.phases.merge(phases);
+        stats.phases = phases;
         device_.allocator().resetPeak();
         try {
             // Line 1 of Algorithm 2: the Buffalo Scheduler.
@@ -409,8 +401,8 @@ BuffaloTrainer::trainScheduled(const graph::Dataset &dataset,
                     model_->memoryModel(),
                     dataset.spec().paper_avg_coefficient, sched_options);
                 inline_schedule = scheduler.schedule(sg);
-                stats.phases.add(phaseName(Phase::Scheduling),
-                                 inline_schedule.schedule_seconds);
+                stats.phases.addMeasured(
+                    Phase::Scheduling, inline_schedule.schedule_seconds);
             }
             const core::ScheduleResult &schedule =
                 use_prefetched ? prefetched->schedule : inline_schedule;
@@ -468,7 +460,7 @@ BuffaloTrainer::trainScheduled(const graph::Dataset &dataset,
             for (const std::vector<double> &row : rows)
                 serial += row[0] + row[1];
             stats.pipelined_seconds =
-                stats.phases.total() - serial +
+                stats.endToEndSeconds() - serial +
                 obs::pipelineTimeline(rows, 2, 2).wall();
 
             stats.num_micro_batches = schedule.num_groups;
@@ -529,11 +521,8 @@ BettyTrainer::trainIteration(const graph::Dataset &dataset,
 
     auto sg = sampleBatch(dataset, seeds, rng, stats.phases);
 
-    auto parts = partitioner_.partition(sg, num_micro_batches_);
-    stats.phases.add(phaseName(Phase::RegConstruction),
-                     partitioner_.lastPhases().reg_construction_seconds);
-    stats.phases.add(phaseName(Phase::MetisPartition),
-                     partitioner_.lastPhases().metis_seconds);
+    auto parts =
+        partitioner_.partition(sg, num_micro_batches_, &stats.phases);
 
     for (const NodeList &part : parts) {
         sampling::MicroBatch mb =

@@ -72,6 +72,9 @@ struct TrainerOptions
     EpochObserver epoch_observer;
 };
 
+/** Kernel launches a micro-batch incurs on the device cost model. */
+std::uint64_t kernelLaunchCount(const sampling::MicroBatch &mb);
+
 /** Splits @p nodes into shuffled batches of @p batch_size. */
 std::vector<NodeList> makeBatches(const NodeList &nodes,
                                   std::size_t batch_size,
@@ -98,7 +101,8 @@ struct PreparedMicroBatch
 /** Outcome of one training iteration. */
 struct IterationStats
 {
-    util::PhaseTimer phases;
+    /** Per-phase seconds, measured and modeled kept apart. */
+    obs::PhaseTimes phases;
     /** Whole-batch loss (valid only in Numeric mode). */
     double loss = 0.0;
     /** Correct top-1 predictions (Numeric mode). */
@@ -108,10 +112,9 @@ struct IterationStats
     int num_micro_batches = 1;
     /** Device allocator watermark during the iteration. */
     std::uint64_t peak_device_bytes = 0;
-    /** Sum of block node counts across micro-batches (Fig. 16). */
-    std::uint64_t total_block_nodes = 0;
     /**
-     * Simulated end-to-end seconds if micro-batch preparation were
+     * End-to-end seconds on both clocks (measured host preparation +
+     * modeled device) if micro-batch preparation were
      * pipelined with device execution (prepare batch k+1 while the
      * device runs batch k) — an extension beyond the paper, which
      * identifies non-overlapped preparation as the §V-G bottleneck.
@@ -129,8 +132,15 @@ struct IterationStats
      */
     std::vector<obs::GroupMemRecord> group_audit;
 
-    /** Sum of all phase times (host-measured + simulated device). */
-    double endToEndSeconds() const { return phases.total(); }
+    /**
+     * The iteration cost the Fig. 10/11/15 benches rank by: every
+     * phase on both clocks, measured host + modeled device seconds.
+     */
+    double
+    endToEndSeconds() const
+    {
+        return phases.measuredSeconds() + phases.modeledSeconds();
+    }
 };
 
 /**
@@ -221,7 +231,7 @@ class TrainerBase
     sampling::SampledSubgraph sampleBatch(const graph::Dataset &dataset,
                                           const NodeList &seeds,
                                           util::Rng &rng,
-                                          util::PhaseTimer &phases) const;
+                                          obs::PhaseTimes &phases) const;
 
     /**
      * Transfers, computes, and backpropagates one micro-batch;
@@ -244,7 +254,7 @@ class TrainerBase
                              double extra_padding_flops = 0.0,
                              const PreparedMicroBatch *prepared = nullptr);
 
-    /** Applies the optimizer step ("GPU compute" charged). */
+    /** Applies the optimizer step (modeled "GPU compute" charged). */
     void optimizerStep(IterationStats &stats);
 
     TrainerOptions options_;
@@ -290,6 +300,9 @@ class BuffaloTrainer : public TrainerBase
                                   const NodeList &seeds,
                                   util::Rng &rng) override;
 
+    /** Scheduler options with capacity/reserved bytes filled in. */
+    core::SchedulerOptions resolvedSchedulerOptions() const;
+
   protected:
     /** Builds micro-batch blocks with @p generator. */
     BuffaloTrainer(const TrainerOptions &options, device::Device &device,
@@ -314,11 +327,8 @@ class BuffaloTrainer : public TrainerBase
      */
     IterationStats trainScheduled(const graph::Dataset &dataset,
                                   const sampling::SampledSubgraph &sg,
-                                  const util::PhaseTimer &phases,
+                                  const obs::PhaseTimes &phases,
                                   const Prefetched *prefetched = nullptr);
-
-    /** Scheduler options with capacity/reserved bytes filled in. */
-    core::SchedulerOptions resolvedSchedulerOptions() const;
 
   private:
     core::MicroBatchGenerator generator_;

@@ -1,15 +1,11 @@
 /**
  * @file
- * Wall-clock timing utilities and the PhaseTimer used by the training
- * harness to produce the per-phase execution breakdowns of Figs. 5 and 11.
+ * The wall-clock stopwatch behind every measured time (the per-phase
+ * ledger of Figs. 5 and 11 is obs::PhaseTimes).
  */
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace buffalo::util {
 
@@ -35,56 +31,6 @@ class StopWatch
   private:
     using Clock = std::chrono::steady_clock;
     Clock::time_point start_;
-};
-
-/**
- * Accumulates named phase durations across one or more iterations.
- *
- * Phases may mix *measured* wall-clock time (host-side work such as
- * partitioning and block generation) and *simulated* time charged by the
- * device cost model (kernel compute, PCIe transfer). Both are stored in
- * seconds and can be reported together.
- */
-class PhaseTimer
-{
-  public:
-    /** RAII scope that charges its lifetime to one phase. */
-    class Scope
-    {
-      public:
-        Scope(PhaseTimer &timer, std::string phase)
-            : timer_(timer), phase_(std::move(phase)) {}
-        Scope(const Scope &) = delete;
-        Scope &operator=(const Scope &) = delete;
-        ~Scope() { timer_.add(phase_, watch_.seconds()); }
-
-      private:
-        PhaseTimer &timer_;
-        std::string phase_;
-        StopWatch watch_;
-    };
-
-    /** Adds @p seconds to phase @p phase (creating it if new). */
-    void add(const std::string &phase, double seconds);
-
-    /** Returns accumulated seconds for @p phase (0 if never charged). */
-    double get(const std::string &phase) const;
-
-    /** Total seconds across all phases. */
-    double total() const;
-
-    /** Phase names in first-charged order. */
-    const std::vector<std::string> &phases() const { return order_; }
-
-    /** Clears all accumulated phases. */
-    void clear();
-
-    /** Merges another timer's phases into this one (summing). */
-    void merge(const PhaseTimer &other);
-
-  private:
-    std::map<std::string, double> seconds_;
-    std::vector<std::string> order_;
 };
 
 } // namespace buffalo::util

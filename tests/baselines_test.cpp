@@ -11,6 +11,7 @@
 #include "baselines/betty.h"
 #include "baselines/padding.h"
 #include "graph/datasets.h"
+#include "phase_times.h"
 #include "sampling/block_generator.h"
 #include "util/rng.h"
 
@@ -87,9 +88,10 @@ TEST(Betty, RecordsPhaseTimings)
 {
     auto sg = sampleArxiv();
     BettyPartitioner betty;
-    betty.partition(sg, 4);
-    EXPECT_GE(betty.lastPhases().reg_construction_seconds, 0.0);
-    EXPECT_GE(betty.lastPhases().metis_seconds, 0.0);
+    obs::PhaseTimes times;
+    betty.partition(sg, 4, &times);
+    testing_phase::expectOnlyMeasured(
+        times, {obs::Phase::RegConstruction, obs::Phase::MetisPartition});
 }
 
 TEST(Betty, ZeroInEdgeSeedFails)

@@ -73,8 +73,9 @@ TEST_P(DatasetProperty, TrainNodesValidAndSorted)
     bool first = true;
     for (NodeId node : data.trainNodes()) {
         ASSERT_LT(node, data.graph().numNodes());
-        if (!first)
+        if (!first) {
             ASSERT_GT(node, prev);
+        }
         prev = node;
         first = false;
     }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit and property tests for the util substrate: RNG, histograms,
- * tables, timers, thread pool, and formatting.
+ * tables, the stopwatch, thread pool, and formatting.
  */
 #include <gtest/gtest.h>
 
@@ -252,40 +252,6 @@ TEST(Table, NumberFormatting)
     EXPECT_EQ(Table::count(1234567), "1,234,567");
     EXPECT_EQ(Table::count(-1000), "-1,000");
     EXPECT_EQ(Table::count(7), "7");
-}
-
-TEST(PhaseTimer, AccumulatesAndOrders)
-{
-    PhaseTimer timer;
-    timer.add("b", 1.0);
-    timer.add("a", 2.0);
-    timer.add("b", 0.5);
-    EXPECT_DOUBLE_EQ(timer.get("b"), 1.5);
-    EXPECT_DOUBLE_EQ(timer.get("a"), 2.0);
-    EXPECT_DOUBLE_EQ(timer.total(), 3.5);
-    ASSERT_EQ(timer.phases().size(), 2u);
-    EXPECT_EQ(timer.phases()[0], "b"); // first-charged order
-}
-
-TEST(PhaseTimer, MergeSums)
-{
-    PhaseTimer a, b;
-    a.add("x", 1.0);
-    b.add("x", 2.0);
-    b.add("y", 3.0);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("x"), 3.0);
-    EXPECT_DOUBLE_EQ(a.get("y"), 3.0);
-}
-
-TEST(PhaseTimer, ScopeChargesElapsed)
-{
-    PhaseTimer timer;
-    {
-        PhaseTimer::Scope scope(timer, "work");
-    }
-    EXPECT_GE(timer.get("work"), 0.0);
-    EXPECT_EQ(timer.phases().size(), 1u);
 }
 
 TEST(StopWatch, MovesForward)
