@@ -8,8 +8,9 @@ namespace buffalo::obs {
 
 EventBuilder::EventBuilder(EventLog *log, const char *type) : log_(log)
 {
+    // No ts_us yet: writeLine stamps it under the lock that orders
+    // the lines, so the log's timestamps never run backwards.
     writer_.beginObject();
-    writer_.key("ts_us").value(log_->nowMicros());
     writer_.key("ev").value(type);
 }
 
@@ -125,9 +126,8 @@ EventLog::eventsWritten() const
 }
 
 std::uint64_t
-EventLog::nowMicros() const
+EventLog::nowMicrosLocked() const
 {
-    util::MutexLock lock(mutex_);
     const auto delta = std::chrono::steady_clock::now() - epoch_;
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(delta)
@@ -135,12 +135,15 @@ EventLog::nowMicros() const
 }
 
 void
-EventLog::writeLine(const std::string &line)
+EventLog::writeLine(const std::string &object)
 {
     util::MutexLock lock(mutex_);
     if (!out_.is_open())
         return; // closed between the enabled() check and now
-    out_ << line << '\n';
+    // object is "{...}" with at least the "ev" member; ts_us goes in
+    // first, read on the clock while this thread holds the line order.
+    out_ << "{\"ts_us\":" << nowMicrosLocked() << ','
+         << std::string_view(object).substr(1) << '\n';
     ++events_written_;
 }
 

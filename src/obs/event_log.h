@@ -113,9 +113,12 @@ class EventLog
     friend class EventBuilder;
 
     /** Microseconds since open() (monotonic). */
-    std::uint64_t nowMicros() const BUFFALO_EXCLUDES(mutex_);
+    std::uint64_t nowMicrosLocked() const BUFFALO_REQUIRES(mutex_);
 
-    void writeLine(const std::string &line) BUFFALO_EXCLUDES(mutex_);
+    /** Writes @p object (a complete JSON object without ts_us) as
+     *  one line, with ts_us stamped under the lock that orders the
+     *  lines, so timestamps are non-decreasing down the file. */
+    void writeLine(const std::string &object) BUFFALO_EXCLUDES(mutex_);
 
     std::atomic<bool> enabled_{false};
 

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "device/device.h"
@@ -156,6 +157,50 @@ TEST(EventLog, EmitsParseableJsonLines)
     EXPECT_TRUE(second.at("explosion").asBool());
     EXPECT_GE(second.at("ts_us").asNumber(),
               first.at("ts_us").asNumber());
+    std::remove(path.c_str());
+}
+
+TEST(EventLog, TimestampsNeverRunBackwardsAcrossThreads)
+{
+    // Events built concurrently: ts_us must be read under the lock
+    // that orders the lines, or a thread stamped earlier can write
+    // later and obs_validate rejects the log as not monotone.
+    const std::string path =
+        testing::TempDir() + "/obs_audit_test_threads.jsonl";
+    std::remove(path.c_str());
+    constexpr int kThreads = 4;
+    constexpr int kEventsPerThread = 2000;
+    obs::EventLog log;
+    log.open(path);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&log, t] {
+            for (int i = 0; i < kEventsPerThread; ++i)
+                log.event(obs::names::kEvSchedulerSchedule)
+                    .field("thread", t)
+                    .field("i", i)
+                    .field("label", "a field that takes a while");
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+    log.close();
+    EXPECT_EQ(log.eventsWritten(),
+              static_cast<std::uint64_t>(kThreads * kEventsPerThread));
+
+    const std::string text = obs::readFileText(path);
+    std::size_t begin = 0, lines = 0;
+    double last_ts = 0.0;
+    while (begin < text.size()) {
+        const std::size_t end = text.find('\n', begin);
+        const obs::JsonValue event =
+            obs::JsonValue::parse(text.substr(begin, end - begin));
+        const double ts = event.at("ts_us").asNumber();
+        ASSERT_GE(ts, last_ts) << "line " << lines;
+        last_ts = ts;
+        ++lines;
+        begin = end == std::string::npos ? text.size() : end + 1;
+    }
+    EXPECT_EQ(lines, static_cast<std::size_t>(kThreads * kEventsPerThread));
     std::remove(path.c_str());
 }
 
