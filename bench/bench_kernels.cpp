@@ -284,16 +284,20 @@ main()
 
     // Absolute seconds are recorded, never gated: the tier-1
     // RelWithDebInfo build does not auto-vectorize the scalar GEMM and
-    // reads 2-4x the Release seconds. The in-run speedups gate with
-    // one-sided floors, set below the lowest of repeated Release runs
-    // of the 8-lane build on the 4-core CI container. Losing the SIMD
-    // path fails all but gemm_speedup_4t; losing the A * B^T row
-    // blocking fails gemm_tb_speedup_simd (it reads ~4). The 4x2 A * B
+    // reads 2-4x the Release seconds. The scalar GEMM bodies run the
+    // same fused multiply-add chains as the wide ones, on the FMA
+    // instruction where the CPU has it (kernels.cpp), so the ratios
+    // compare two hardware-FMA paths. The in-run speedups gate with
+    // one-sided floors, set below the lowest of repeated runs of the
+    // 8-lane build on the 4-core CI container. Losing the SIMD path
+    // fails all but gemm_speedup_4t (it reads ~3.8); losing the
+    // A * B^T row blocking fails gemm_tb_speedup_simd (~3.3 at 8
+    // lanes and ~6.3 at 16, against 11.5-13 and 14-16). The 4x2 A * B
     // tile is worth ~20% at 1024^3, inside the host's spread, so no
     // floor separates it. lstm_step_speedup_simd times a step that is
     // ~90% GEMM, so it barely sees the gate pass;
     // lstm_forward_speedup_simd times that pass alone, and scalar
-    // owned-math rows under SIMD fail it (~1 against 6.9-7.8 at 8
+    // owned-math rows under SIMD fail it (~1 against 6.6-7.8 at 8
     // lanes). simd_width records which lane a run measured (8 on AVX2
     // hosts, 16 on AVX-512 hosts); the same floors apply at either.
     bench::Reporter reporter("kernels");
@@ -303,7 +307,7 @@ main()
         .info("simd_width", static_cast<double>(kernels::simdWidth()))
         .atLeast("gemm_speedup_simd", serial_s / simd_s, 3.0)
         .atLeast("gemm_speedup_4t", serial_s / four_s, 2.5)
-        .atLeast("gemm_tb_speedup_simd", tb_serial_s / tb_simd_s, 5.0)
+        .atLeast("gemm_tb_speedup_simd", tb_serial_s / tb_simd_s, 8.0)
         .atLeast("lstm_step_speedup_simd", lstm_scalar_ms / lstm_ms,
                  4.3)
         .atLeast("lstm_forward_speedup_simd", fwd_scalar_ms / fwd_ms,

@@ -1,6 +1,7 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -123,7 +124,9 @@ dispatchCounter(bool parallel)
  * The builds of kernels_simd.cpp this CPU runs, narrowest first,
  * resolved once. On x86-64 the AVX-512F build needs avx512f (which
  * __builtin_cpu_supports reports only where the OS saves the ZMM
- * state) and the AVX2 build avx2.
+ * state) and the AVX2 build avx2; both are compiled with -mfma for
+ * their GEMM chains, so both also need fma. A CPU without it runs the
+ * scalar bodies, which give the same bytes.
  */
 const std::vector<const wide::Kernels *> &
 runnableBuilds()
@@ -131,9 +134,10 @@ runnableBuilds()
     static const std::vector<const wide::Kernels *> builds = [] {
         std::vector<const wide::Kernels *> runnable;
 #if defined(BUFFALO_WIDE_X86)
-        if (__builtin_cpu_supports("avx2"))
+        const bool fma = __builtin_cpu_supports("fma");
+        if (fma && __builtin_cpu_supports("avx2"))
             runnable.push_back(&wide::avx2::table());
-        if (__builtin_cpu_supports("avx512f"))
+        if (fma && __builtin_cpu_supports("avx512f"))
             runnable.push_back(&wide::avx512::table());
 #elif defined(BUFFALO_WIDE_NEON)
         runnable.push_back(&wide::neon::table());
@@ -308,25 +312,31 @@ parallelRows(std::size_t rows, std::uint64_t work,
     return true;
 }
 
-void
-gemmRows(const float *a, const float *b, float *c, std::size_t r0,
-         std::size_t r1, std::size_t k, std::size_t n)
+namespace {
+
+/**
+ * Scalar GEMM bodies. Each C element is a k-ascending std::fma chain
+ * from +0, the chain the wide micro-kernel runs in every lane. On
+ * x86-64 each body is compiled twice: inlined into an FMA-targeted
+ * wrapper below, where std::fma is the FMA instruction, and as
+ * itself, where std::fma is libm's correctly rounded fmaf. Both give
+ * the same bytes; scalarGemms() picks the FMA build where the CPU has
+ * the instruction, so the common case never pays a libm call per
+ * element.
+ */
+[[gnu::always_inline]] inline void
+scalarGemmRows(const float *a, const float *b, float *c, std::size_t r0,
+               std::size_t r1, std::size_t k, std::size_t n,
+               std::size_t tile_k, std::size_t tile_n)
 {
-    if (const wide::Kernels *lanes = wideActive()) {
-        lanes->gemmRows(a, b, c, r0, r1, k, n, g_config.tile_k,
-                       g_config.tile_n);
-        return;
-    }
     for (std::size_t i = r0; i < r1; ++i)
         std::fill(c + i * n, c + (i + 1) * n, 0.0f);
     if (k == 0 || n == 0)
         return;
-    const std::size_t tile_k = g_config.tile_k;
-    const std::size_t tile_n = g_config.tile_n;
     // k-panel outer, j-tile, then all owned rows: the B sub-panel
     // (tile_k x tile_n) stays cache-resident across the row sweep.
-    // Every C element accumulates k-ascending (panels ascend, kk
-    // ascends within a panel) — the serial order, for any tiling.
+    // Every C element advances k-ascending (panels ascend, kk
+    // ascends within a panel) — the serial chain, for any tiling.
     for (std::size_t kp = 0; kp < k; kp += tile_k) {
         const std::size_t kend = std::min(k, kp + tile_k);
         for (std::size_t jp = 0; jp < n; jp += tile_n) {
@@ -350,10 +360,10 @@ gemmRows(const float *a, const float *b, float *c, std::size_t r0,
                     const float *brow = b + kk * n;
                     for (std::size_t j = jp; j < jend; ++j) {
                         const float bv = brow[j];
-                        c0[j] += v0 * bv;
-                        c1[j] += v1 * bv;
-                        c2[j] += v2 * bv;
-                        c3[j] += v3 * bv;
+                        c0[j] = std::fma(v0, bv, c0[j]);
+                        c1[j] = std::fma(v1, bv, c1[j]);
+                        c2[j] = std::fma(v2, bv, c2[j]);
+                        c3[j] = std::fma(v3, bv, c3[j]);
                     }
                 }
             }
@@ -364,29 +374,23 @@ gemmRows(const float *a, const float *b, float *c, std::size_t r0,
                     const float av = arow[kk];
                     const float *brow = b + kk * n;
                     for (std::size_t j = jp; j < jend; ++j)
-                        crow[j] += av * brow[j];
+                        crow[j] = std::fma(av, brow[j], crow[j]);
                 }
             }
         }
     }
 }
 
-void
-gemmTransposeARows(const float *a, const float *b, float *c,
-                   std::size_t r0, std::size_t r1, std::size_t k,
-                   std::size_t m, std::size_t n)
+[[gnu::always_inline]] inline void
+scalarGemmTransposeARows(const float *a, const float *b, float *c,
+                         std::size_t r0, std::size_t r1, std::size_t k,
+                         std::size_t m, std::size_t n,
+                         std::size_t tile_k, std::size_t tile_n)
 {
-    if (const wide::Kernels *lanes = wideActive()) {
-        lanes->gemmTransposeARows(a, b, c, r0, r1, k, m, n,
-                                 g_config.tile_k, g_config.tile_n);
-        return;
-    }
     for (std::size_t i = r0; i < r1; ++i)
         std::fill(c + i * n, c + (i + 1) * n, 0.0f);
     if (k == 0 || n == 0)
         return;
-    const std::size_t tile_k = g_config.tile_k;
-    const std::size_t tile_n = g_config.tile_n;
     for (std::size_t kp = 0; kp < k; kp += tile_k) {
         const std::size_t kend = std::min(k, kp + tile_k);
         for (std::size_t jp = 0; jp < n; jp += tile_n) {
@@ -408,10 +412,10 @@ gemmTransposeARows(const float *a, const float *b, float *c,
                     const float *brow = b + kk * n;
                     for (std::size_t j = jp; j < jend; ++j) {
                         const float bv = brow[j];
-                        c0[j] += v0 * bv;
-                        c1[j] += v1 * bv;
-                        c2[j] += v2 * bv;
-                        c3[j] += v3 * bv;
+                        c0[j] = std::fma(v0, bv, c0[j]);
+                        c1[j] = std::fma(v1, bv, c1[j]);
+                        c2[j] = std::fma(v2, bv, c2[j]);
+                        c3[j] = std::fma(v3, bv, c3[j]);
                     }
                 }
             }
@@ -421,29 +425,24 @@ gemmTransposeARows(const float *a, const float *b, float *c,
                     const float av = a[kk * m + i];
                     const float *brow = b + kk * n;
                     for (std::size_t j = jp; j < jend; ++j)
-                        crow[j] += av * brow[j];
+                        crow[j] = std::fma(av, brow[j], crow[j]);
                 }
             }
         }
     }
 }
 
-void
-gemmTransposeBRows(const float *a, const float *b, float *c,
-                   std::size_t r0, std::size_t r1, std::size_t k,
-                   std::size_t n)
+[[gnu::always_inline]] inline void
+scalarGemmTransposeBRows(const float *a, const float *b, float *c,
+                         std::size_t r0, std::size_t r1, std::size_t k,
+                         std::size_t n)
 {
-    if (const wide::Kernels *lanes = wideActive()) {
-        lanes->gemmTransposeBRows(a, b, c, r0, r1, k, n, g_config.tile_k,
-                                  g_config.tile_n);
-        return;
-    }
     for (std::size_t i = r0; i < r1; ++i) {
         const float *arow = a + i * k;
         float *crow = c + i * n;
         std::size_t j = 0;
-        // Four dot products share each arow load; every accumulator
-        // still sums k-ascending, so blocking is bitwise-neutral.
+        // Four dot products share each arow load; every chain still
+        // runs k-ascending, so blocking is bitwise-neutral.
         for (; j + 4 <= n; j += 4) {
             const float *b0 = b + (j + 0) * k;
             const float *b1 = b + (j + 1) * k;
@@ -452,10 +451,10 @@ gemmTransposeBRows(const float *a, const float *b, float *c,
             float d0 = 0.0f, d1 = 0.0f, d2 = 0.0f, d3 = 0.0f;
             for (std::size_t kk = 0; kk < k; ++kk) {
                 const float av = arow[kk];
-                d0 += av * b0[kk];
-                d1 += av * b1[kk];
-                d2 += av * b2[kk];
-                d3 += av * b3[kk];
+                d0 = std::fma(av, b0[kk], d0);
+                d1 = std::fma(av, b1[kk], d1);
+                d2 = std::fma(av, b2[kk], d2);
+                d3 = std::fma(av, b3[kk], d3);
             }
             crow[j + 0] = d0;
             crow[j + 1] = d1;
@@ -466,10 +465,105 @@ gemmTransposeBRows(const float *a, const float *b, float *c,
             const float *brow = b + j * k;
             float dot = 0.0f;
             for (std::size_t kk = 0; kk < k; ++kk)
-                dot += arow[kk] * brow[kk];
+                dot = std::fma(arow[kk], brow[kk], dot);
             crow[j] = dot;
         }
     }
+}
+
+/** The scalar GEMM bodies of one target. */
+struct ScalarGemms
+{
+    decltype(&scalarGemmRows) rows;
+    decltype(&scalarGemmTransposeARows) transpose_a;
+    decltype(&scalarGemmTransposeBRows) transpose_b;
+};
+
+#if defined(__x86_64__) && defined(__GNUC__)
+__attribute__((target("fma"))) void
+fmaGemmRows(const float *a, const float *b, float *c, std::size_t r0,
+            std::size_t r1, std::size_t k, std::size_t n,
+            std::size_t tile_k, std::size_t tile_n)
+{
+    scalarGemmRows(a, b, c, r0, r1, k, n, tile_k, tile_n);
+}
+
+__attribute__((target("fma"))) void
+fmaGemmTransposeARows(const float *a, const float *b, float *c,
+                      std::size_t r0, std::size_t r1, std::size_t k,
+                      std::size_t m, std::size_t n, std::size_t tile_k,
+                      std::size_t tile_n)
+{
+    scalarGemmTransposeARows(a, b, c, r0, r1, k, m, n, tile_k, tile_n);
+}
+
+__attribute__((target("fma"))) void
+fmaGemmTransposeBRows(const float *a, const float *b, float *c,
+                      std::size_t r0, std::size_t r1, std::size_t k,
+                      std::size_t n)
+{
+    scalarGemmTransposeBRows(a, b, c, r0, r1, k, n);
+}
+#endif
+
+/**
+ * The scalar GEMM build this CPU runs, resolved once like
+ * runnableBuilds(). A pointer table rather than GCC's target_clones:
+ * a clone's ifunc resolver runs before ThreadSanitizer initializes
+ * and crashes the TSan build at startup.
+ */
+const ScalarGemms &
+scalarGemms()
+{
+    static const ScalarGemms gemms = [] {
+#if defined(__x86_64__) && defined(__GNUC__)
+        if (__builtin_cpu_supports("fma"))
+            return ScalarGemms{fmaGemmRows, fmaGemmTransposeARows,
+                               fmaGemmTransposeBRows};
+#endif
+        return ScalarGemms{scalarGemmRows, scalarGemmTransposeARows,
+                           scalarGemmTransposeBRows};
+    }();
+    return gemms;
+}
+
+} // namespace
+
+void
+gemmRows(const float *a, const float *b, float *c, std::size_t r0,
+         std::size_t r1, std::size_t k, std::size_t n)
+{
+    if (const wide::Kernels *lanes = wideActive())
+        lanes->gemmRows(a, b, c, r0, r1, k, n, g_config.tile_k,
+                       g_config.tile_n);
+    else
+        scalarGemms().rows(a, b, c, r0, r1, k, n, g_config.tile_k,
+                           g_config.tile_n);
+}
+
+void
+gemmTransposeARows(const float *a, const float *b, float *c,
+                   std::size_t r0, std::size_t r1, std::size_t k,
+                   std::size_t m, std::size_t n)
+{
+    if (const wide::Kernels *lanes = wideActive())
+        lanes->gemmTransposeARows(a, b, c, r0, r1, k, m, n,
+                                 g_config.tile_k, g_config.tile_n);
+    else
+        scalarGemms().transpose_a(a, b, c, r0, r1, k, m, n,
+                                  g_config.tile_k, g_config.tile_n);
+}
+
+void
+gemmTransposeBRows(const float *a, const float *b, float *c,
+                   std::size_t r0, std::size_t r1, std::size_t k,
+                   std::size_t n)
+{
+    if (const wide::Kernels *lanes = wideActive())
+        lanes->gemmTransposeBRows(a, b, c, r0, r1, k, n, g_config.tile_k,
+                                  g_config.tile_n);
+    else
+        scalarGemms().transpose_b(a, b, c, r0, r1, k, n);
 }
 
 void

@@ -9,9 +9,12 @@
  * to the serial kernel. Work is partitioned so each output row is
  * owned by exactly one task, and every per-element floating-point
  * accumulation runs in the same order as the serial reference (k
- * ascending for GEMM, input-row ascending for scatter-adds). Tile
- * sizes and thread counts therefore never change results — only
- * wall-clock.
+ * ascending for GEMM, input-row ascending for scatter-adds), with the
+ * same operation at each step in every lane: each GEMM C element is
+ * a chain of fused multiply-adds (std::fma, one rounding per k-step),
+ * and every other multiply-accumulate rounds its multiply and its add
+ * separately. Tile sizes, SIMD widths and thread counts therefore
+ * never change results — only wall-clock.
  *
  * Grain policy: ops whose total scalar work falls below
  * KernelConfig::min_parallel_work run serially inline, so the tiny
@@ -108,15 +111,16 @@ bool parallelRows(std::size_t rows, std::uint64_t work,
 /**
  * C = A * B over rows [r0, r1) of C. A is m x k, B is k x n, all
  * row-major. Zero-fills the owned C rows first (outputs may come from
- * Tensor::uninitialized), then accumulates k-ascending — bitwise
- * equal to the serial i-k-j loop for any tiling or row partition.
+ * Tensor::uninitialized), then advances each element k-ascending by
+ * c = std::fma(a, b, c) — bitwise equal to that serial i-k-j chain
+ * for any tiling, SIMD width or row partition.
  */
 void gemmRows(const float *a, const float *b, float *c, std::size_t r0,
               std::size_t r1, std::size_t k, std::size_t n);
 
 /**
  * C = A^T * B over rows [r0, r1) of C. A is k x m, B is k x n,
- * C is m x n. Same zero-fill + k-ascending contract as gemmRows.
+ * C is m x n. Same zero-fill + k-ascending fma contract as gemmRows.
  */
 void gemmTransposeARows(const float *a, const float *b, float *c,
                         std::size_t r0, std::size_t r1, std::size_t k,
@@ -124,7 +128,8 @@ void gemmTransposeARows(const float *a, const float *b, float *c,
 
 /**
  * C = A * B^T over rows [r0, r1) of C. A is m x k, B is n x k,
- * C is m x n. Each element is one sequential k-ascending dot product.
+ * C is m x n. Each element is one k-ascending std::fma chain from +0
+ * (a dot product rounded once per k-step).
  */
 void gemmTransposeBRows(const float *a, const float *b, float *c,
                         std::size_t r0, std::size_t r1, std::size_t k,

@@ -3,24 +3,29 @@
  * Wide-ISA implementations of the kernel layer (the Kernels table of
  * tensor/kernels_wide.h). This is the ONLY translation unit allowed
  * to include tensor/simd.h. CMake compiles it once per lane type with
- * that ISA's flags: -mavx2 and -mavx512f objects on x86-64 when
- * BUFFALO_SIMD=ON (never -mfma; -ffp-contract=off is global), one
- * NEON object on AArch64, and without BUFFALO_SIMD_ENABLED a
- * scalar-lane object, so a table always exists. Each build defines
- * everything in its own namespace, wide::<isa> (the ISA simd.h
- * resolved), with the kernels themselves at internal linkage: only
- * wide::<isa>::table() is visible to the linker.
+ * that ISA's flags: -mavx2 -mfma and -mavx512f -mfma objects on
+ * x86-64 when BUFFALO_SIMD=ON (-ffp-contract=off is global, so only
+ * the explicit fused operations below fuse), one NEON object on
+ * AArch64, and without BUFFALO_SIMD_ENABLED a scalar-lane object, so
+ * a table always exists. Each build defines everything in its own
+ * namespace, wide::<isa> (the ISA simd.h resolved), with the kernels
+ * themselves at internal linkage: only wide::<isa>::table() is
+ * visible to the linker.
  *
  * Bitwise contract with the scalar kernels in kernels.cpp: lanes map
  * only to independent output elements (GEMM j-columns, elementwise
  * indices, aggregator feature columns); each element's contributions
- * accumulate in the serial order (k-ascending, t-ascending); every
- * multiply-accumulate rounds the multiply and the add separately
- * (simd.h mulAdd — never an FMA). The LSTM forward's exp, tanh and
- * sigmoid are the VecF forms of tensor/transcendental.h, the same
- * operation sequence as the scalar forms. The kernels_test.cpp memcmp
- * sweeps compare every build the CPU runs against the scalar path at
- * every thread count.
+ * accumulate in the serial order (k-ascending, t-ascending). Each
+ * GEMM C element is a k-ascending chain of fused multiply-adds from
+ * +0, one rounding per k-step: simd.h fusedMulAdd in the vector
+ * lanes, std::fma in the scalar tails and in kernels.cpp. Every other
+ * multiply-accumulate (aggregators, LSTM gates, transcendentals)
+ * rounds the multiply and the add separately (simd.h mulAdd), like
+ * the scalar expressions under -ffp-contract=off. The LSTM forward's
+ * exp, tanh and sigmoid are the VecF forms of
+ * tensor/transcendental.h, the same operation sequence as the scalar
+ * forms. The kernels_test.cpp memcmp sweeps compare every build the
+ * CPU runs against the scalar path at every thread count.
  *
  * GEMM additionally packs the current B tile into a contiguous panel
  * (tile_k x tile_n floats, thread_local storage) so the micro-kernel
@@ -30,6 +35,7 @@
 #include "tensor/kernels_wide.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "tensor/simd.h"
@@ -79,17 +85,97 @@ packPanel(const float *b, bool transposed, std::size_t k,
 }
 
 /**
+ * Rows of one register block at this lane width. An R-row x 2-vector
+ * block keeps 2R independent FMA chains in flight, at least the 8
+ * that cover the FMA latency on two FMA ports; each broadcast A value
+ * feeds two vectors and each panel load R rows. AVX-512's 32 zmm
+ * registers hold the 16 accumulators of an 8-row block with room for
+ * the panel vectors and the broadcast; the 16 registers of AVX2 (and
+ * NEON's 4-lane vectors) keep 4 rows, where 8 would spill.
+ */
+constexpr std::size_t kBlockRows = W >= 16 ? 8 : 4;
+
+/**
+ * Rows [i, i + R) of C against the packed panel: 2-vector column
+ * steps (a lone row, the tail of a row range, steps one vector at a
+ * time), then a 1-vector and a scalar column tail. Each C element is loaded once, advanced by one fused
+ * multiply-add per kk of the panel (k-ascending), and stored — the
+ * serial per-element chain, so R never changes the bytes. The r loops
+ * unroll fully, which keeps the accumulator arrays in registers.
+ */
+template <std::size_t R, typename ARowAt>
+void
+rowBlock(ARowAt arow_at, const float *panel, float *c, std::size_t i,
+         std::size_t n, std::size_t kp, std::size_t kd, std::size_t jp,
+         std::size_t tw)
+{
+    float *crow[R];
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r)
+        crow[r] = c + (i + r) * n + jp;
+    std::size_t j = 0;
+    for (; R > 1 && j + 2 * W <= tw; j += 2 * W) {
+        s::VecF acc[2 * R];
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < R; ++r) {
+            acc[r] = s::load(crow[r] + j);
+            acc[R + r] = s::load(crow[r] + j + W);
+        }
+        for (std::size_t kk = 0; kk < kd; ++kk) {
+            const s::VecF b0 = s::load(panel + kk * tw + j);
+            const s::VecF b1 = s::load(panel + kk * tw + j + W);
+#pragma GCC unroll 8
+            for (std::size_t r = 0; r < R; ++r) {
+                const s::VecF av = s::broadcast(arow_at(i + r, kp + kk));
+                acc[r] = s::fusedMulAdd(av, b0, acc[r]);
+                acc[R + r] = s::fusedMulAdd(av, b1, acc[R + r]);
+            }
+        }
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < R; ++r) {
+            s::store(crow[r] + j, acc[r]);
+            s::store(crow[r] + j + W, acc[R + r]);
+        }
+    }
+    for (; j + W <= tw; j += W) {
+        s::VecF acc[R];
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < R; ++r)
+            acc[r] = s::load(crow[r] + j);
+        for (std::size_t kk = 0; kk < kd; ++kk) {
+            const s::VecF bv = s::load(panel + kk * tw + j);
+#pragma GCC unroll 8
+            for (std::size_t r = 0; r < R; ++r)
+                acc[r] = s::fusedMulAdd(
+                    s::broadcast(arow_at(i + r, kp + kk)), bv, acc[r]);
+        }
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < R; ++r)
+            s::store(crow[r] + j, acc[r]);
+    }
+    for (; j < tw; ++j) {
+        float acc[R];
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < R; ++r)
+            acc[r] = crow[r][j];
+        for (std::size_t kk = 0; kk < kd; ++kk) {
+            const float bv = panel[kk * tw + j];
+#pragma GCC unroll 8
+            for (std::size_t r = 0; r < R; ++r)
+                acc[r] = std::fma(arow_at(i + r, kp + kk), bv, acc[r]);
+        }
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < R; ++r)
+            crow[r][j] = acc[r];
+    }
+}
+
+/**
  * The shared A*B tile micro-kernel: rows [r0, r1) of C against the
  * packed panel. @p arow_at maps (row, kk) to the A element so the
  * same body serves gemmRows and gemmTransposeBRows (A row-major) and
- * gemmTransposeARows (A column-major). A 4-row x 2-vector block keeps
- * eight independent accumulator chains in flight, enough to hide the
- * add latency at 8 and at 16 lanes; each broadcast A value feeds two
- * vectors and each panel load four rows. A 1-vector and a scalar
- * column tail follow, then single rows. Each C element is loaded once
- * per tile, accumulated in a register over the panel's kk
- * (k-ascending), and stored — the serial per-element order for any
- * tiling.
+ * gemmTransposeARows (A column-major). kBlockRows-row blocks, then
+ * 4-row blocks (at most one, at 16 lanes), then single rows.
  */
 template <typename ARowAt>
 void
@@ -101,99 +187,12 @@ tileMicroKernel(ARowAt arow_at, const float *panel, float *c,
     const std::size_t tw = jend - jp;
     const std::size_t kd = kend - kp;
     std::size_t i = r0;
-    for (; i + 4 <= r1; i += 4) {
-        float *c0 = c + (i + 0) * n + jp;
-        float *c1 = c + (i + 1) * n + jp;
-        float *c2 = c + (i + 2) * n + jp;
-        float *c3 = c + (i + 3) * n + jp;
-        std::size_t j = 0;
-        for (; j + 2 * W <= tw; j += 2 * W) {
-            s::VecF acc0 = s::load(c0 + j);
-            s::VecF acc1 = s::load(c1 + j);
-            s::VecF acc2 = s::load(c2 + j);
-            s::VecF acc3 = s::load(c3 + j);
-            s::VecF acc4 = s::load(c0 + j + W);
-            s::VecF acc5 = s::load(c1 + j + W);
-            s::VecF acc6 = s::load(c2 + j + W);
-            s::VecF acc7 = s::load(c3 + j + W);
-            for (std::size_t kk = 0; kk < kd; ++kk) {
-                const s::VecF b0 = s::load(panel + kk * tw + j);
-                const s::VecF b1 = s::load(panel + kk * tw + j + W);
-                const s::VecF a0 = s::broadcast(arow_at(i + 0, kp + kk));
-                const s::VecF a1 = s::broadcast(arow_at(i + 1, kp + kk));
-                const s::VecF a2 = s::broadcast(arow_at(i + 2, kp + kk));
-                const s::VecF a3 = s::broadcast(arow_at(i + 3, kp + kk));
-                acc0 = s::mulAdd(a0, b0, acc0);
-                acc1 = s::mulAdd(a1, b0, acc1);
-                acc2 = s::mulAdd(a2, b0, acc2);
-                acc3 = s::mulAdd(a3, b0, acc3);
-                acc4 = s::mulAdd(a0, b1, acc4);
-                acc5 = s::mulAdd(a1, b1, acc5);
-                acc6 = s::mulAdd(a2, b1, acc6);
-                acc7 = s::mulAdd(a3, b1, acc7);
-            }
-            s::store(c0 + j, acc0);
-            s::store(c1 + j, acc1);
-            s::store(c2 + j, acc2);
-            s::store(c3 + j, acc3);
-            s::store(c0 + j + W, acc4);
-            s::store(c1 + j + W, acc5);
-            s::store(c2 + j + W, acc6);
-            s::store(c3 + j + W, acc7);
-        }
-        for (; j + W <= tw; j += W) {
-            s::VecF acc0 = s::load(c0 + j);
-            s::VecF acc1 = s::load(c1 + j);
-            s::VecF acc2 = s::load(c2 + j);
-            s::VecF acc3 = s::load(c3 + j);
-            for (std::size_t kk = 0; kk < kd; ++kk) {
-                const s::VecF bv = s::load(panel + kk * tw + j);
-                acc0 = s::mulAdd(
-                    s::broadcast(arow_at(i + 0, kp + kk)), bv, acc0);
-                acc1 = s::mulAdd(
-                    s::broadcast(arow_at(i + 1, kp + kk)), bv, acc1);
-                acc2 = s::mulAdd(
-                    s::broadcast(arow_at(i + 2, kp + kk)), bv, acc2);
-                acc3 = s::mulAdd(
-                    s::broadcast(arow_at(i + 3, kp + kk)), bv, acc3);
-            }
-            s::store(c0 + j, acc0);
-            s::store(c1 + j, acc1);
-            s::store(c2 + j, acc2);
-            s::store(c3 + j, acc3);
-        }
-        for (; j < tw; ++j) {
-            float s0 = c0[j], s1 = c1[j], s2 = c2[j], s3 = c3[j];
-            for (std::size_t kk = 0; kk < kd; ++kk) {
-                const float bv = panel[kk * tw + j];
-                s0 += arow_at(i + 0, kp + kk) * bv;
-                s1 += arow_at(i + 1, kp + kk) * bv;
-                s2 += arow_at(i + 2, kp + kk) * bv;
-                s3 += arow_at(i + 3, kp + kk) * bv;
-            }
-            c0[j] = s0;
-            c1[j] = s1;
-            c2[j] = s2;
-            c3[j] = s3;
-        }
-    }
-    for (; i < r1; ++i) {
-        float *crow = c + i * n + jp;
-        std::size_t j = 0;
-        for (; j + W <= tw; j += W) {
-            s::VecF acc = s::load(crow + j);
-            for (std::size_t kk = 0; kk < kd; ++kk)
-                acc = s::mulAdd(s::broadcast(arow_at(i, kp + kk)),
-                                s::load(panel + kk * tw + j), acc);
-            s::store(crow + j, acc);
-        }
-        for (; j < tw; ++j) {
-            float sum = crow[j];
-            for (std::size_t kk = 0; kk < kd; ++kk)
-                sum += arow_at(i, kp + kk) * panel[kk * tw + j];
-            crow[j] = sum;
-        }
-    }
+    for (; i + kBlockRows <= r1; i += kBlockRows)
+        rowBlock<kBlockRows>(arow_at, panel, c, i, n, kp, kd, jp, tw);
+    for (; i + 4 <= r1; i += 4)
+        rowBlock<4>(arow_at, panel, c, i, n, kp, kd, jp, tw);
+    for (; i < r1; ++i)
+        rowBlock<1>(arow_at, panel, c, i, n, kp, kd, jp, tw);
 }
 
 /**
@@ -255,9 +254,9 @@ vsigmoid(s::VecF z)
 /**
  * Rows [r0, r1) of C = A * B (or A * B^T with @p b_transposed) over
  * tile_k x tile_n B tiles: the rows are zeroed, then every tile is
- * packed and swept by the micro-kernel, so each C element sums
- * k-ascending from +0, the order of the scalar loops and dot
- * products in kernels.cpp.
+ * packed and swept by the micro-kernel, so each C element is a
+ * k-ascending FMA chain from +0, the chain of the scalar loops and
+ * dot products in kernels.cpp.
  */
 template <typename ARowAt>
 void
@@ -308,9 +307,9 @@ gemmTransposeBRows(const float *a, const float *b, float *c,
                    std::size_t r0, std::size_t r1, std::size_t k,
                    std::size_t n, std::size_t tile_k, std::size_t tile_n)
 {
-    // B^T packed tile by tile: the same 4 x 2 block as A * B, each
-    // lane one dot product, so its eight chains hide the add latency
-    // that four chains left exposed at 16 lanes.
+    // B^T packed tile by tile: the same row blocks as A * B, each
+    // lane one dot product, so 2 * kBlockRows chains hide the FMA
+    // latency that four chains left exposed at 16 lanes.
     tiledGemmRows(
         [a, k](std::size_t row, std::size_t kk) { return a[row * k + kk]; },
         b, true, c, r0, r1, k, n, tile_k, tile_n);

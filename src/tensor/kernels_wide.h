@@ -14,8 +14,10 @@
  * Every kernel in a table is a *row-range* kernel with the same
  * semantics and bitwise-identical results as its scalar counterpart
  * in kernels.cpp: lanes map only to independent output elements,
- * multiplies and adds round separately (no FMA), and per-element
- * accumulation order is unchanged. kernels.cpp dispatches to the
+ * every lane does the scalar operation at each step (a fused
+ * multiply-add per k-step in the GEMMs, a separately rounded multiply
+ * and add everywhere else), and per-element accumulation order is
+ * unchanged. kernels.cpp dispatches to the
  * resolved table when KernelConfig::simd resolves active, and to its
  * scalar bodies otherwise; tests memcmp the paths at every width the
  * CPU runs.

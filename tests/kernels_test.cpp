@@ -72,9 +72,8 @@ bitwiseEqual(const Tensor &a, const Tensor &b)
 }
 
 /**
- * Naive references, written with the exact accumulation expression
- * forms the tiled kernels use (`acc += a * b`), so FP contraction
- * produces identical per-element operations.
+ * Naive references: each C element is the k-ascending std::fma chain
+ * from +0 that the tiled kernels run in every lane.
  */
 Tensor
 refMatmul(const Tensor &a, const Tensor &b)
@@ -88,7 +87,7 @@ refMatmul(const Tensor &a, const Tensor &b)
             const float av = arow[kk];
             const float *brow = b.data() + kk * n;
             for (std::size_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
+                crow[j] = std::fma(av, brow[j], crow[j]);
         }
     }
     return c;
@@ -105,7 +104,7 @@ refMatmulTransposeA(const Tensor &a, const Tensor &b)
             const float av = a.data()[kk * m + i];
             const float *brow = b.data() + kk * n;
             for (std::size_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
+                crow[j] = std::fma(av, brow[j], crow[j]);
         }
     }
     return c;
@@ -123,7 +122,7 @@ refMatmulTransposeB(const Tensor &a, const Tensor &b)
             const float *brow = b.data() + j * k;
             float dot = 0.0f;
             for (std::size_t kk = 0; kk < k; ++kk)
-                dot += arow[kk] * brow[kk];
+                dot = std::fma(arow[kk], brow[kk], dot);
             crow[j] = dot;
         }
     }
@@ -144,8 +143,10 @@ class KernelsTest : public ::testing::Test
  */
 const std::size_t kDims[] = {0, 1, 3, 24, 40, 48, 56, 64, 65, 128};
 
-/** Row counts: kDims plus 5, one row past a four-row block. */
-const std::size_t kRows[] = {0, 1, 3, 5, 24, 40, 48, 56, 64, 65, 128};
+/** Row counts: kDims plus 5, one row past a four-row block, and 13,
+ *  an eight-row block, a four-row block and one row at 16 lanes. */
+const std::size_t kRows[] = {0,  1,  3,  5,  13, 24,
+                             40, 48, 56, 64, 65, 128};
 
 TEST_F(KernelsTest, GemmBitwiseAcrossShapesTilesAndThreads)
 {
@@ -200,6 +201,59 @@ TEST_F(KernelsTest, GemmBitwiseAcrossShapesTilesAndThreads)
                     bitwiseEqual(ta1, refMatmulTransposeA(at, b)));
                 EXPECT_TRUE(
                     bitwiseEqual(tb1, refMatmulTransposeB(a, bt)));
+            }
+        }
+    }
+}
+
+TEST_F(KernelsTest, GemmChainsRoundOncePerKStep)
+{
+    // x*x - 1 for x = 1 + 2^-12 is 2^-11 + 2^-24 exactly; rounding the
+    // product first loses the 2^-24 (a tie to even), so every C
+    // element shows whether its k-step was one fused multiply-add.
+    const float x = 1.0f + std::ldexp(1.0f, -12);
+    const float fused = std::ldexp(1.0f, -11) + std::ldexp(1.0f, -24);
+    const float product = x * x;
+    ASSERT_EQ(std::fma(x, x, -1.0f), fused);
+    ASSERT_NE(product + -1.0f, fused);
+
+    // C = A * B with k = 2: step 0 takes +0 to -1 * 1 = -1, step 1 is
+    // fma(x, x, -1) in every element. 13 rows give an eight-row, a
+    // four-row and a single-row block at 16 lanes (three four-row
+    // blocks and one row at 8); 3W + 3 columns give, at width W, a
+    // two-vector block, a one-vector tail and a three-column scalar
+    // tail (27 at 8 lanes, 51 at 16).
+    const std::size_t m = 13, k = 2;
+    for (std::size_t n : {27u, 51u}) {
+        Tensor a = Tensor::zeros(m, k);  // row i: {-1, x}
+        Tensor at = Tensor::zeros(k, m); // A^T
+        Tensor b = Tensor::zeros(k, n);  // row 0: 1, row 1: x
+        Tensor bt = Tensor::zeros(n, k); // B^T
+        for (std::size_t i = 0; i < m; ++i) {
+            a.data()[i * k] = at.data()[i] = -1.0f;
+            a.data()[i * k + 1] = at.data()[m + i] = x;
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+            b.data()[j] = bt.data()[j * k] = 1.0f;
+            b.data()[n + j] = bt.data()[j * k + 1] = x;
+        }
+        // tile_k = 1 stores -1 and reloads it between the two steps.
+        kernels::KernelConfig split = parallelConfig();
+        split.tile_k = 1;
+        for (const SimdLane &lane : sweepLanes(true)) {
+            for (kernels::KernelConfig cfg :
+                 {serialConfig(), parallelConfig(), split}) {
+                setConfigAt(cfg, lane);
+                const Tensor results[] = {ops::matmul(a, b),
+                                          ops::matmulTransposeA(at, b),
+                                          ops::matmulTransposeB(a, bt)};
+                for (const Tensor &c : results)
+                    for (std::size_t e = 0; e < m * n; ++e)
+                        ASSERT_EQ(c.data()[e], fused)
+                            << "n=" << n << " element " << e
+                            << " simd=" << laneName(lane)
+                            << " threads=" << cfg.threads
+                            << " tile_k=" << cfg.tile_k;
             }
         }
     }

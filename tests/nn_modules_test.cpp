@@ -243,14 +243,14 @@ lstmAggregatorDigest()
 /**
  * Golden digest of the LSTM aggregator, computed from the unfused
  * slice/sigmoid/tanh/concat cell with the owned exp and tanh
- * (tensor/transcendental.h) and the 4x1 / one-chain GEMM kernels. It
- * must hold at every SIMD width the CPU runs (1, 8 and 16 on an
- * AVX-512 host) and thread count; any change here means a numeric
- * LSTM output changed.
+ * (tensor/transcendental.h) and GEMMs whose every C element is one
+ * k-ascending fused multiply-add chain. It must hold at every SIMD
+ * width the CPU runs (1, 8 and 16 on an AVX-512 host) and thread
+ * count; any change here means a numeric LSTM output changed.
  */
 TEST(Aggregators, LstmDigestIsPinnedAcrossSimdAndThreads)
 {
-    const std::uint64_t golden = 0xa761d47f2144e53cULL;
+    const std::uint64_t golden = 0x92d5bb865c17ac1cULL;
     for (const testing_simd::SimdLane &lane :
          testing_simd::sweepLanes()) {
         for (std::size_t threads : {1u, 4u}) {
@@ -546,15 +546,14 @@ modelDigest()
 }
 
 /**
- * Golden digest of every architecture, last computed when the LSTM
- * gates and GAT's softmax moved to the owned exp and tanh
- * (tensor/transcendental.h). It must hold at every SIMD width the
- * CPU runs and thread count; any change here means a logit, a
- * gradient or a device peak changed.
+ * Golden digest of every architecture, last computed when the GEMM
+ * chains moved to fused multiply-adds (one rounding per k-step). It
+ * must hold at every SIMD width the CPU runs and thread count; any
+ * change here means a logit, a gradient or a device peak changed.
  */
 TEST(Models, DigestIsPinnedAcrossSimdAndThreads)
 {
-    const std::uint64_t golden = 0x897d2016cceff055ULL;
+    const std::uint64_t golden = 0xff96a68d59c950b9ULL;
     for (const testing_simd::SimdLane &lane :
          testing_simd::sweepLanes()) {
         for (std::size_t threads : {1u, 4u}) {

@@ -2,8 +2,9 @@
 # CI driver — the full static-analysis and sanitizer matrix
 # (DESIGN.md, "Static analysis & sanitizer matrix"):
 #
-#   1. Release build + full test suite + a check that neither wide-ISA
-#      kernel object (AVX2, AVX-512F) holds an FMA instruction + lint
+#   1. Release build + full test suite + a check that each wide-ISA
+#      kernel object (AVX2, AVX-512F) holds FMA instructions in its
+#      three GEMM kernels and in no other function + lint
 #      leg (buffalo_lint over src/ and the ci.sh expectation lists) +
 #      observability smoke epoch gated by obs_validate (trace,
 #      metrics, JSONL run log, memory-audit error bound) + one-epoch
@@ -49,13 +50,18 @@ cmake -B "${prefix}-release" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${prefix}-release" -j "${jobs}"
 ctest --test-dir "${prefix}-release" --output-on-failure -j "${jobs}"
 
-echo "=== No FMA in the wide-ISA objects ==="
-# The determinism contract forbids fused multiply-adds: every lane
-# rounds its multiply and its add separately, like the scalar path.
-# Neither -mavx2 nor -mavx512f implies -mfma in GCC 12, but AVX-512F
-# carries its own zmm FMAs, so a stray intrinsic or a contraction
-# would not fail the build. On x86-64 both per-ISA objects must exist
-# and hold no vfmadd/vfmsub/vfnmadd/vfnmsub instruction.
+echo "=== FMA placement in the wide-ISA objects ==="
+# The determinism contract fuses exactly one thing: each GEMM C
+# element is a k-ascending chain of fused multiply-adds, in every lane
+# (simd.h fusedMulAdd, std::fma in the tails). Everything else (LSTM
+# gate passes, owned transcendentals, aggregators, elementwise) rounds
+# its multiplies and adds separately, like the scalar path. Both
+# objects are built with -mfma, so nothing but this check would see a
+# contraction outside the GEMMs, or GEMMs silently back on mul + add.
+# Per function (objdump -d, demangled), count vfmadd/vfmsub/vfnmadd/
+# vfnmsub: functions of gemmRows, gemmTransposeARows and
+# gemmTransposeBRows (their template instantiations and clones
+# included) must hold some, every other function none.
 if [[ "$(uname -m)" == "x86_64" ]]; then
     objs_dir="${prefix}-release/src/tensor/CMakeFiles"
     wide_objs=("${objs_dir}"/buffalo_wide_*.dir/kernels_simd.cpp.o)
@@ -65,12 +71,33 @@ if [[ "$(uname -m)" == "x86_64" ]]; then
         exit 1
     fi
     for obj in "${wide_objs[@]}"; do
-        fma_count="$(objdump -d --no-show-raw-insn "${obj}" |
-            grep -cE 'vfn?m(add|sub)' || true)"
-        echo "${obj}: ${fma_count} FMA instructions"
-        if [[ "${fma_count}" -ne 0 ]]; then
-            exit 1
-        fi
+        objdump -d -C --no-show-raw-insn "${obj}" | awk -v obj="${obj}" '
+            /^[0-9a-f]+ <.*>:$/ {
+                fn = $0
+                sub(/^[0-9a-f]+ </, "", fn)
+                sub(/>:$/, "", fn)
+                next
+            }
+            /vfn?m(add|sub)/ { count[fn]++ }
+            END {
+                split("gemmRows gemmTransposeARows gemmTransposeBRows",
+                      gemms, " ")
+                bad = 0
+                for (fn in count) {
+                    if (match(fn, /::(gemmRows|gemmTransposeARows|gemmTransposeBRows)\(/)) {
+                        per_gemm[substr(fn, RSTART + 2, RLENGTH - 3)] += count[fn]
+                    } else {
+                        print obj ": " count[fn] " FMAs outside the GEMMs in " fn
+                        bad = 1
+                    }
+                }
+                for (g = 1; g <= 3; ++g) {
+                    print obj ": " (per_gemm[gemms[g]] + 0) " FMAs in " gemms[g]
+                    if (per_gemm[gemms[g]] + 0 == 0)
+                        bad = 1
+                }
+                exit bad
+            }'
     done
 fi
 
