@@ -12,6 +12,8 @@
 #include "nn/loss.h"
 #include "nn/memory_model.h"
 #include "nn/gnn_model.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "sampling/block_generator.h"
 #include "train/feature_loader.h"
 #include "util/format.h"
@@ -158,6 +160,37 @@ TEST(MemoryModel, FlopsGrowWithDepthAndHidden)
     wide.hidden_dim = 64;
     EXPECT_LT(MemoryModel(small).microBatchFlops(mb),
               MemoryModel(wide).microBatchFlops(mb));
+}
+
+/**
+ * The modeled FLOPs of a SAGE-LSTM micro-batch are exactly the GEMM
+ * FLOPs its numeric forward and backward count: every LSTM and update
+ * FLOP is a GEMM, so the device clock prices the work that runs.
+ */
+TEST(MemoryModel, LstmFlopsEqualCountedGemmFlops)
+{
+    graph::Dataset data =
+        graph::loadDataset(graph::DatasetId::Arxiv, 42, 0.3);
+    ModelConfig config = smallConfig(data, AggregatorKind::Lstm);
+    config.hidden_dim = 64;
+    // Every train node of arxiv x0.3 (480) in one micro-batch.
+    const sampling::MicroBatch mb = sampleBatch(data, 2, 512, 3);
+
+    GnnModel model(config, 5);
+    Tensor feats = train::loadFeatures(data, mb.inputNodes());
+    auto &gemm_flops =
+        obs::metrics().counter(obs::names::kCtrKernelsGemmFlops);
+    const std::uint64_t before = gemm_flops.value();
+    Tensor logits = model.forward(mb, feats);
+    auto loss =
+        softmaxCrossEntropy(logits, train::gatherLabels(data,
+                                                        mb.outputNodes()));
+    model.backward(loss.grad_logits);
+    const std::uint64_t counted = gemm_flops.value() - before;
+
+    EXPECT_EQ(static_cast<std::uint64_t>(
+                  MemoryModel(config).microBatchFlops(mb)),
+              counted);
 }
 
 TEST(MemoryModel, TransferBytesIncludeAllPayloads)
