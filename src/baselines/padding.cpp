@@ -29,6 +29,16 @@ paddedMicroBatchBytes(const nn::MemoryModel &model,
         total += model.layerActivationBytesFromCounts(
             layer, block.numDst(), padded_edges,
             block.numDst() + padded_edges);
+        // A padded layer materializes its message tensor, in floats
+        // per padded edge. The per-edge term of mean and gcn does not
+        // hold it (their fused kernels read the input in place); those
+        // of pool and lstm already count the gathered rows.
+        const nn::AggregatorKind kind = model.config().aggregator;
+        if (kind == nn::AggregatorKind::Mean ||
+            kind == nn::AggregatorKind::Gcn)
+            total += static_cast<std::uint64_t>(
+                static_cast<double>(padded_edges) *
+                model.config().layerInDim(layer) * 4.0);
     }
     const auto &top = mb.blocks.back();
     total += static_cast<std::uint64_t>(

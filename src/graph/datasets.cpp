@@ -104,6 +104,28 @@ mix(std::uint64_t a, std::uint64_t b)
 }
 
 /**
+ * The class-centroid table: component (label, d) is deterministic in
+ * (seed, label, d).
+ */
+std::vector<float>
+centroidTable(std::uint64_t seed, int num_classes, int feature_dim)
+{
+    std::vector<float> table(static_cast<std::size_t>(num_classes) *
+                             feature_dim);
+    for (int label = 0; label < num_classes; ++label) {
+        for (int d = 0; d < feature_dim; ++d) {
+            const std::uint64_t ch =
+                mix(seed ^ 0xC0FFEE,
+                    (static_cast<std::uint64_t>(label) << 32) |
+                        static_cast<std::uint64_t>(d));
+            table[static_cast<std::size_t>(label) * feature_dim + d] =
+                static_cast<float>(ch >> 40) / 16777216.0f - 0.5f;
+        }
+    }
+    return table;
+}
+
+/**
  * Assigns structure-correlated labels: random seeding followed by a few
  * synchronous label-propagation rounds (majority over neighbors). This
  * yields homophilous labels like real citation/product graphs.
@@ -187,21 +209,17 @@ Dataset::fillFeatures(NodeId node, std::span<float> out) const
     checkArgument(out.size() ==
                       static_cast<std::size_t>(spec_.sim_feature_dim),
                   "Dataset::fillFeatures: output span has wrong size");
-    const std::int32_t label = labels_[node];
+    const float *centroid =
+        centroids_.data() +
+        static_cast<std::size_t>(labels_[node]) * out.size();
     for (std::size_t d = 0; d < out.size(); ++d) {
-        // Class centroid component: deterministic in (seed, label, dim).
-        const std::uint64_t ch = mix(seed_ ^ 0xC0FFEE,
-                                     (static_cast<std::uint64_t>(label)
-                                      << 32) | d);
-        const float centroid =
-            static_cast<float>(ch >> 40) / 16777216.0f - 0.5f;
         // Node noise component: deterministic in (seed, node, dim).
         const std::uint64_t nh =
             mix(seed_ ^ 0xBADF00D,
                 (static_cast<std::uint64_t>(node) << 24) ^ d);
         const float noise =
             static_cast<float>(nh >> 40) / 16777216.0f - 0.5f;
-        out[d] = centroid + 0.3f * noise;
+        out[d] = centroid[d] + 0.3f * noise;
     }
 }
 
@@ -228,6 +246,8 @@ loadDataset(DatasetId id, std::uint64_t seed, double scale)
     dataset.graph_ = std::move(graph);
     dataset.labels_ =
         assignLabels(dataset.graph_, spec.num_classes, rng);
+    dataset.centroids_ =
+        centroidTable(seed, spec.num_classes, spec.sim_feature_dim);
 
     // Training seeds: a deterministic 10% sample (at least 64 nodes).
     const NodeId n = dataset.graph_.numNodes();
@@ -276,6 +296,7 @@ makeDataset(std::string name, CsrGraph graph,
     dataset.seed_ = seed;
     dataset.graph_ = std::move(graph);
     dataset.labels_ = std::move(labels);
+    dataset.centroids_ = centroidTable(seed, num_classes, feature_dim);
 
     util::Rng rng(seed ^ 0xCAFEBABE);
     const NodeId n = dataset.graph_.numNodes();

@@ -92,7 +92,8 @@ class Dataset
      * Writes the features of @p node into @p out (size featureDim()).
      * Deterministic in (dataset seed, node): features are a per-class
      * centroid plus hash noise, generated on demand so no dataset-sized
-     * feature matrix needs to stay resident.
+     * feature matrix needs to stay resident. The centroids come from a
+     * numClasses() x featureDim() table built once at construction.
      */
     void fillFeatures(NodeId node, std::span<float> out) const;
 
@@ -114,6 +115,10 @@ class Dataset
     std::vector<std::int32_t> labels_;
     NodeList train_nodes_;
     std::uint64_t seed_ = 0;
+    /** numClasses() x featureDim() class centroids, built with the
+     *  dataset and never written after (the prefetcher and the server
+     *  read it from several threads). */
+    std::vector<float> centroids_;
 };
 
 /**

@@ -225,7 +225,9 @@ loadDatasetBundle(std::istream &in)
                     spec.num_classes, spec.sim_feature_dim,
                     spec.paper_avg_coefficient, seed);
     // Restore the exact spec and train split (makeDataset derives
-    // fresh defaults for both).
+    // fresh defaults for both). The centroid table makeDataset built
+    // depends only on the seed, classes and feature width, which the
+    // restored spec keeps.
     dataset.spec_ = spec;
     dataset.seed_ = seed;
     dataset.train_nodes_ = std::move(train_nodes);

@@ -88,8 +88,10 @@ GnnModel::backward(const Tensor &grad_logits, AllocationObserver *observer)
         if (layer + 1 < config_.num_layers)
             grad = ops::reluBackward(grad, state.pre_activation,
                                      observer);
+        // The raw input features are not trained: layer 0 computes
+        // no input gradient.
         grad = layers_[layer]->backward(*state.op, state.input, grad,
-                                        observer);
+                                        layer > 0, observer);
     }
     clearCache();
 }

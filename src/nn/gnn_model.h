@@ -53,7 +53,8 @@ class GnnModel : public Module
     /**
      * Backward for the last forward(): accumulates parameter gradients
      * and releases the cache. The gradient w.r.t. the raw inputs is
-     * discarded (features are not trained).
+     * not computed (features are not trained), so layer 0 runs none
+     * of the kernels or allocations that would only feed it.
      * @throws InvalidArgument when no forward() is waiting for it.
      */
     void backward(const Tensor &grad_logits,

@@ -58,10 +58,13 @@ class LayerOp : public Module
 
     /**
      * Accumulates parameter gradients for the forward that left
-     * @p state over input @p x; returns the gradient w.r.t. @p x.
+     * @p state over input @p x; returns the gradient w.r.t. @p x, or,
+     * when @p input_grad is false, an empty tensor, skipping every
+     * allocation and kernel that only feeds it. The parameter
+     * gradients are bitwise the same either way.
      */
     virtual Tensor backward(const State &state, const Tensor &x,
-                            const Tensor &grad_out,
+                            const Tensor &grad_out, bool input_grad,
                             AllocationObserver *observer) = 0;
 };
 

@@ -26,7 +26,7 @@ Linear::forward(const Tensor &input, Cache &cache,
 
 Tensor
 Linear::backward(const Cache &cache, const Tensor &grad_output,
-                 AllocationObserver *observer)
+                 bool input_grad, AllocationObserver *observer)
 {
     checkArgument(grad_output.cols() == outDim(),
                   "Linear::backward: grad width mismatch");
@@ -36,6 +36,8 @@ Linear::backward(const Cache &cache, const Tensor &grad_output,
     weight_.accumulateGrad(grad_w);
     Tensor grad_b = tensor::columnSum(grad_output, observer);
     bias_.accumulateGrad(grad_b);
+    if (!input_grad)
+        return {};
     return tensor::matmulTransposeB(grad_output, weight_.value(),
                                     observer);
 }

@@ -37,10 +37,12 @@ class Linear : public Module
                    AllocationObserver *observer = nullptr) const;
 
     /**
-     * Backward pass: accumulates dW, db and returns dInput.
+     * Backward pass: accumulates dW, db and returns dInput, or an
+     * empty tensor without computing it when @p input_grad is false.
      * @param grad_output n x out_dim.
      */
     Tensor backward(const Cache &cache, const Tensor &grad_output,
+                    bool input_grad,
                     AllocationObserver *observer = nullptr);
 
     std::size_t inDim() const { return weight_.value().rows(); }

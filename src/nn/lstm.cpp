@@ -66,7 +66,8 @@ LstmCell::step(const Tensor &x, const Tensor &h_prev,
 
 LstmCell::StepGrads
 LstmCell::stepBackward(const StepCache &cache, const Tensor &dh,
-                       const Tensor &dc_in, AllocationObserver *observer)
+                       const Tensor &dc_in, bool want_dx,
+                       bool want_dh_prev, AllocationObserver *observer)
 {
     const std::size_t n = dh.rows();
     const std::size_t h = hiddenDim();
@@ -85,8 +86,11 @@ LstmCell::stepBackward(const StepCache &cache, const Tensor &dh,
     b_.accumulateGrad(ops::columnSum(dz, observer));
 
     StepGrads grads;
-    grads.dx = ops::matmulTransposeB(dz, wx_.value(), observer);
-    grads.dh_prev = ops::matmulTransposeB(dz, wh_.value(), observer);
+    if (want_dx)
+        grads.dx = ops::matmulTransposeB(dz, wx_.value(), observer);
+    if (want_dh_prev)
+        grads.dh_prev =
+            ops::matmulTransposeB(dz, wh_.value(), observer);
     grads.dc_prev = std::move(dc_prev);
     return grads;
 }

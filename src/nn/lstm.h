@@ -43,7 +43,8 @@ class LstmCell : public Module
         std::uint64_t bytes() const;
     };
 
-    /** Gradients flowing out of one backward step. */
+    /** Gradients flowing out of one backward step (dx and dh_prev
+     *  are empty when not asked for). */
     struct StepGrads
     {
         Tensor dx;
@@ -63,10 +64,13 @@ class LstmCell : public Module
     /**
      * One backward step. @p dh and @p dc are the gradients w.r.t. this
      * step's h and c outputs (dc already includes any contribution from
-     * the following step). Accumulates weight gradients.
+     * the following step). Accumulates weight gradients; computes dx
+     * only when @p want_dx and dh_prev only when @p want_dh_prev,
+     * which leaves the weight gradients' bytes unchanged.
      */
     StepGrads stepBackward(const StepCache &cache, const Tensor &dh,
-                           const Tensor &dc,
+                           const Tensor &dc, bool want_dx,
+                           bool want_dh_prev,
                            AllocationObserver *observer = nullptr);
 
     std::vector<Parameter *> parameters() override;

@@ -5,7 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -122,6 +124,67 @@ TEST(Bundle, CustomDatasetRoundTrip)
     EXPECT_EQ(restored.name(), "custom");
     EXPECT_EQ(restored.labels(), original.labels());
     EXPECT_EQ(restored.featureDim(), 16);
+}
+
+/** The per-node feature formula, centroid hashed per component. */
+std::vector<float>
+referenceFeatures(const Dataset &data, NodeId node)
+{
+    const auto mix = [](std::uint64_t a, std::uint64_t b) {
+        std::uint64_t x = a * 0x9E3779B97F4A7C15ULL + b;
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+        return x ^ (x >> 31);
+    };
+    const std::uint64_t seed = data.seed();
+    const std::int32_t label = data.labels()[node];
+    std::vector<float> out(data.featureDim());
+    for (std::size_t d = 0; d < out.size(); ++d) {
+        const std::uint64_t ch = mix(
+            seed ^ 0xC0FFEE, (static_cast<std::uint64_t>(label) << 32) | d);
+        const float centroid =
+            static_cast<float>(ch >> 40) / 16777216.0f - 0.5f;
+        const std::uint64_t nh =
+            mix(seed ^ 0xBADF00D, (static_cast<std::uint64_t>(node) << 24) ^ d);
+        const float noise =
+            static_cast<float>(nh >> 40) / 16777216.0f - 0.5f;
+        out[d] = centroid + 0.3f * noise;
+    }
+    return out;
+}
+
+/**
+ * fillFeatures reads the class centroids from a table built once per
+ * dataset; every construction path must build it so that each row is
+ * byte for byte the per-component formula.
+ */
+TEST(Features, CentroidTableMatchesThePerNodeFormula)
+{
+    util::Rng rng(3);
+    CsrGraph g = generateWattsStrogatz(120, 2, 0.2, rng);
+    std::vector<std::int32_t> labels(120);
+    for (std::size_t i = 0; i < labels.size(); ++i)
+        labels[i] = static_cast<std::int32_t>((7 * i) % 5);
+    const Dataset custom =
+        makeDataset("custom", std::move(g), std::move(labels), 5, 24,
+                    0.3, 77);
+    const Dataset arxiv = loadDataset(DatasetId::Arxiv, 11, 0.02);
+    std::stringstream buffer;
+    saveDataset(buffer, arxiv);
+    const Dataset restored = loadDatasetBundle(buffer);
+
+    for (const Dataset *data : {&custom, &arxiv, &restored}) {
+        std::vector<float> row(data->featureDim());
+        for (NodeId node = 0; node < data->graph().numNodes(); ++node) {
+            data->fillFeatures(node, row);
+            const std::vector<float> expect =
+                referenceFeatures(*data, node);
+            ASSERT_EQ(std::memcmp(row.data(), expect.data(),
+                                  row.size() * sizeof(float)),
+                      0)
+                << data->name() << " node " << node;
+        }
+    }
 }
 
 TEST(Bundle, RejectsCorruptStreams)

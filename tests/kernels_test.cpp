@@ -353,7 +353,8 @@ TEST_F(KernelsTest, AggregatorsBitwiseParallelVsSerial)
                 std::unique_ptr<nn::AggregatorCache> cache_a;
                 const Tensor out_a =
                     agg_a->forward(feats, n, d, cache_a);
-                const Tensor gin_a = agg_a->backward(*cache_a, grad);
+                const Tensor gin_a =
+                    agg_a->backward(*cache_a, grad, true);
                 EXPECT_EQ(out_a.rows(), n);
                 EXPECT_EQ(gin_a.rows(), n * d);
 
@@ -368,7 +369,7 @@ TEST_F(KernelsTest, AggregatorsBitwiseParallelVsSerial)
                         const Tensor out_b =
                             agg_b->forward(feats, n, d, cache_b);
                         const Tensor gin_b =
-                            agg_b->backward(*cache_b, grad);
+                            agg_b->backward(*cache_b, grad, true);
 
                         EXPECT_TRUE(bitwiseEqual(out_a, out_b))
                             << nn::aggregatorName(kind) << " fwd n=" << n

@@ -79,7 +79,7 @@ TEST(GradCheck, LinearInputAndParams)
     Linear::Cache cache;
     layer.forward(x, cache);
     layer.zeroGrad();
-    Tensor grad_x = layer.backward(cache, head);
+    Tensor grad_x = layer.backward(cache, head, true);
 
     auto loss_of = [&]() {
         Linear::Cache c;
@@ -131,8 +131,9 @@ TEST(GradCheck, LstmCellTwoSteps)
     auto [cache0, cache1] = run_forward(&base_loss);
     cell.zeroGrad();
     Tensor dc = Tensor::zeros(n, f);
-    auto g1 = cell.stepBackward(cache1, head, dc);
-    auto g0 = cell.stepBackward(cache0, g1.dh_prev, g1.dc_prev);
+    auto g1 = cell.stepBackward(cache1, head, dc, true, true);
+    auto g0 =
+        cell.stepBackward(cache0, g1.dh_prev, g1.dc_prev, true, true);
 
     auto loss_of = [&]() {
         double loss = 0.0;
@@ -179,7 +180,7 @@ TEST_P(AggregatorGradCheck, NeighborAndParamGradients)
     std::unique_ptr<AggregatorCache> cache;
     agg->forward(feats, n, d, cache);
     agg->zeroGrad();
-    Tensor grad_in = agg->backward(*cache, head);
+    Tensor grad_in = agg->backward(*cache, head, true);
     ASSERT_EQ(grad_in.rows(), n * d);
     ASSERT_EQ(grad_in.cols(), f);
 

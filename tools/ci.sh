@@ -6,8 +6,9 @@
 #      kernel object (AVX2, AVX-512F) holds FMA instructions in its
 #      three GEMM kernels and in no other function + lint
 #      leg (buffalo_lint over src/ and the ci.sh expectation lists) +
-#      observability smoke epoch gated by obs_validate (trace,
-#      metrics, JSONL run log, memory-audit error bound) + one-epoch
+#      the tools/perf_ab.py self-test + observability smoke epoch
+#      gated by obs_validate (trace, metrics, JSONL run log,
+#      memory-audit error bound) + one-epoch
 #      GCN and GAT smokes gated on the `@core` run-log events +
 #      serving smoke (short fixed-QPS buffalo_serve run asserting
 #      nonzero goodput and zero errors, gated by obs_validate
@@ -116,6 +117,11 @@ counts = json.load(open(sys.argv[1]))["counts"]
 print(f"lint report: {counts['total']} findings "
       f"({counts['active']} active, {counts['waived']} waived)")
 PY
+
+echo "=== perf_ab self-test ==="
+# The A/B script's statistics (quartiles, wins, the "unresolved" rule)
+# on fixed samples; no build or benchmark run.
+python3 tools/perf_ab.py --self-test
 
 echo "=== Observability smoke epoch ==="
 obs_dir="${prefix}-release/obs-smoke"
