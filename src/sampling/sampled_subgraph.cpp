@@ -45,11 +45,26 @@ idTable()
 
 } // namespace
 
+const std::unordered_map<NodeId, NodeId> &
+SampledSubgraph::localIndex() const
+{
+    if (!index_->built.load(std::memory_order_acquire)) {
+        std::call_once(index_->once, [this] {
+            index_->to_local.reserve(nodes_.size());
+            for (NodeId i = 0; i < nodes_.size(); ++i)
+                index_->to_local.emplace(nodes_[i], i);
+            index_->built.store(true, std::memory_order_release);
+        });
+    }
+    return index_->to_local;
+}
+
 NodeId
 SampledSubgraph::localId(NodeId global) const
 {
-    auto it = to_local_.find(global);
-    if (it == to_local_.end())
+    const auto &to_local = localIndex();
+    auto it = to_local.find(global);
+    if (it == to_local.end())
         throw NotFound("SampledSubgraph::localId: node not in batch");
     return it->second;
 }
@@ -57,9 +72,10 @@ SampledSubgraph::localId(NodeId global) const
 NodeId
 SampledSubgraph::tryLocalId(NodeId global) const
 {
-    auto it = to_local_.find(global);
-    return it == to_local_.end() ? static_cast<NodeId>(-1)
-                                 : it->second;
+    const auto &to_local = localIndex();
+    auto it = to_local.find(global);
+    return it == to_local.end() ? static_cast<NodeId>(-1)
+                                : it->second;
 }
 
 const CsrGraph &
@@ -151,7 +167,7 @@ NeighborSampler::sample(const CsrGraph &graph, const NodeList &seeds,
     }
 
     // Pad each layer's CSR to the final union size (non-destinations
-    // have empty rows) and index the node list for localId().
+    // have empty rows).
     const NodeId n = static_cast<NodeId>(sg.nodes_.size());
     sg.layers_.reserve(num_layers);
     for (int layer = 0; layer < num_layers; ++layer) {
@@ -160,9 +176,6 @@ NeighborSampler::sample(const CsrGraph &graph, const NodeList &seeds,
         sg.layers_.emplace_back(std::move(offsets[layer]),
                                 std::move(targets[layer]));
     }
-    sg.to_local_.reserve(n);
-    for (NodeId i = 0; i < n; ++i)
-        sg.to_local_.emplace(sg.nodes_[i], i);
     return sg;
 }
 

@@ -12,6 +12,9 @@
  */
 #pragma once
 
+#include <atomic>
+#include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -42,7 +45,12 @@ class SampledSubgraph
     /** Global id for @p local. */
     NodeId globalId(NodeId local) const { return nodes_[local]; }
 
-    /** Local id for @p global; throws NotFound if absent. */
+    /**
+     * Local id for @p global; throws NotFound if absent. The first
+     * localId()/tryLocalId() call on a subgraph builds its global ->
+     * local index (O(nodes), once, safe to race from several threads);
+     * later calls are hash lookups.
+     */
     NodeId localId(NodeId global) const;
 
     /** Local id for @p global, or -1 (as NodeId) when absent. */
@@ -70,10 +78,23 @@ class SampledSubgraph
   private:
     friend class NeighborSampler;
 
+    /** The localId() index, built on first use. Held by pointer so
+     *  the subgraph stays movable (std::once_flag is not). */
+    struct LocalIndex
+    {
+        std::once_flag once;
+        /** Set (release) at the end of the build: the lookup fast
+         *  path, so a built index costs one acquire load per call. */
+        std::atomic<bool> built{false};
+        std::unordered_map<NodeId, NodeId> to_local;
+    };
+
+    const std::unordered_map<NodeId, NodeId> &localIndex() const;
+
     const CsrGraph *parent_ = nullptr;
     NodeId num_seeds_ = 0;
     NodeList nodes_;
-    std::unordered_map<NodeId, NodeId> to_local_;
+    std::unique_ptr<LocalIndex> index_ = std::make_unique<LocalIndex>();
     std::vector<int> fanouts_;
     std::vector<CsrGraph> layers_;
 };

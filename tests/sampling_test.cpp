@@ -120,6 +120,33 @@ TEST(NeighborSampler, LocalIdThrowsForAbsentNode)
     EXPECT_THROW(sg.localId(599), NotFound);
 }
 
+TEST(NeighborSampler, LocalIdIndexIsBuiltOnceUnderRacingLookups)
+{
+    CsrGraph g = testGraph();
+    util::Rng rng(8);
+    NeighborSampler sampler({5, 5});
+    SampledSubgraph sampled = sampler.sample(g, firstSeeds(20), rng);
+    // Moved before the first lookup; the lazy build is raced by four
+    // threads.
+    SampledSubgraph sg = std::move(sampled);
+    std::vector<int> mismatches(4, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < mismatches.size(); ++t) {
+        threads.emplace_back([&, t] {
+            for (NodeId i = 0; i < sg.nodes().size(); ++i)
+                mismatches[t] += sg.tryLocalId(sg.globalId(i)) != i;
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (int count : mismatches)
+        EXPECT_EQ(count, 0);
+    // A built index moves with its subgraph.
+    SampledSubgraph moved = std::move(sg);
+    EXPECT_EQ(moved.localId(moved.globalId(7)), 7u);
+    EXPECT_EQ(moved.tryLocalId(599), static_cast<NodeId>(-1));
+}
+
 /** Graph families of the golden sampling digests. */
 enum class Family
 {
