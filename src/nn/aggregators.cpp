@@ -361,7 +361,9 @@ class LstmAggregator : public Aggregator
         if (input_grad)
             grad_in = Tensor::uninitialized(cache.n * cache.d, dim_,
                                             observer);
-        Tensor dh = grad_output.clone(observer);
+        // Steps only read dh before replacing it with their dh_prev,
+        // so the first one can share grad_output's storage.
+        Tensor dh = grad_output;
         Tensor dc =
             Tensor::zeros(grad_output.rows(), dim_, observer);
         const std::size_t d = cache.d, dim = dim_;

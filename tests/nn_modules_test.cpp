@@ -591,7 +591,7 @@ TEST(Models, DigestIsPinnedAcrossSimdAndThreads)
 TEST(Models, AllocationTraceIsPinnedAcrossSimdAndThreads)
 {
     expectPinnedAcrossSimdAndThreads(
-        [] { return modelDigest().trace; }, 0x6f4cbfa48d5576d1ULL);
+        [] { return modelDigest().trace; }, 0xc2811f5926754cccULL);
 }
 
 /** Tracks the peak live bytes of the tensors allocated under it. */
