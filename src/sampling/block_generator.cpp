@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/names.h"
+#include "sampling/first_seen.h"
 #include "util/errors.h"
 #include "util/timer.h"
 
@@ -78,35 +79,6 @@ charge(obs::PhaseTimes *times, Phase phase, util::StopWatch &watch)
     watch.reset();
 }
 
-/**
- * Per-thread first-seen filter for one chunk of destinations
- * (parallel block construction, phase A). Epoch-stamped so a worker
- * that processes several chunks reuses its allocation with an O(1)
- * reset between chunks.
- */
-struct ChunkDedup
-{
-    std::vector<std::uint64_t> stamp;
-    std::uint64_t epoch = 0;
-
-    void
-    beginChunk(std::size_t id_space)
-    {
-        if (stamp.size() < id_space) {
-            stamp.assign(id_space, 0);
-            epoch = 0;
-        }
-        ++epoch;
-    }
-};
-
-ChunkDedup &
-chunkDedup()
-{
-    static thread_local ChunkDedup dedup;
-    return dedup;
-}
-
 /** Per-layer block size telemetry (one histogram entry per block). */
 void
 recordBlockSizes(const MicroBatch &mb)
@@ -156,16 +128,10 @@ FastBlockGenerator::generate(const SampledSubgraph &sg,
     MicroBatch mb;
     mb.blocks.resize(sg.numLayers());
 
-    // First-seen dedup over subgraph-local ids as an epoch-stamped
-    // flat table (allocated once per call, O(1) reset per layer):
-    // seen[local] == epoch marks membership, to_block[local] holds
-    // the block-local id. Replaces the per-layer unordered_map — a
-    // direct array probe per edge instead of a hash — and doubles as
-    // the shared stitch table of the parallel path.
-    const std::size_t id_space = sg.nodes().size();
-    std::vector<std::uint32_t> seen(id_space, 0);
-    std::vector<NodeId> to_block(id_space, 0);
-    std::uint32_t epoch = 0;
+    // Block-local ids over subgraph-local ids: a flat table, one
+    // indexed load per edge (allocated on the first layer, reset in
+    // O(1) per layer).
+    FirstSeenTable table;
 
     util::StopWatch watch;
     NodeList dst = output_locals;
@@ -202,97 +168,33 @@ FastBlockGenerator::generate(const SampledSubgraph &sg,
             block.offsets[i + 1] += block.offsets[i];
         charge(times, Phase::ConnectionCheck, watch);
 
-        // Block construction: append new sources in first-seen order
-        // while streaming the CSR rows straight into the block.
-        ++epoch;
-        block.src_nodes = dst;
-        for (NodeId i = 0; i < dst.size(); ++i) {
-            seen[dst[i]] = epoch;
-            to_block[dst[i]] = i;
-        }
-        if (!fan_out) {
-            block.neighbors.reserve(block.offsets.back());
-            for (std::size_t i = 0; i < dst.size(); ++i) {
-                for (NodeId nbr : adjacency.neighbors(dst[i])) {
-                    if (seen[nbr] != epoch) {
-                        seen[nbr] = epoch;
-                        to_block[nbr] = static_cast<NodeId>(
-                            block.src_nodes.size());
-                        block.src_nodes.push_back(nbr);
-                    }
-                    block.neighbors.push_back(to_block[nbr]);
+        // Block construction: the destinations are the first sources,
+        // then each new neighbor in first-seen order, with the CSR
+        // rows streamed straight into the block's neighbor slots —
+        // above the threshold in chunks on the pool, byte-identical
+        // to the serial order at any chunk or thread count.
+        table.begin(sg.nodes().size());
+        block.src_nodes.clear();
+        for (NodeId local : dst)
+            table.add(local, block.src_nodes);
+        checkArgument(block.src_nodes.size() == dst.size(),
+                      "BlockGenerator: duplicate output id");
+        block.neighbors.resize(block.offsets.back());
+        const std::size_t chunk_rows = std::max<std::size_t>(
+            grain_.min_chunk, dst.size() / (pool.size() * 4));
+        fillFirstSeen(
+            block.offsets, block.neighbors, chunk_rows,
+            fan_out ? &pool : nullptr,
+            [&](std::size_t r0, std::size_t r1) {
+                for (std::size_t i = r0; i < r1; ++i) {
+                    const auto row = adjacency.neighbors(dst[i]);
+                    std::copy(row.begin(), row.end(),
+                              block.neighbors.begin() +
+                                  static_cast<std::ptrdiff_t>(
+                                      block.offsets[i]));
                 }
-            }
-        } else {
-            // Parallel construction in three phases, byte-identical
-            // to the serial first-seen order at any chunk or thread
-            // count.
-            //
-            // Phase A (parallel): each chunk of destinations copies
-            // its CSR rows into its owned neighbors range as raw
-            // local ids and collects, in within-chunk first-seen
-            // order, the candidate sources that are not destinations
-            // (the shared table holds only the dst seeds here, so
-            // reads race with nothing).
-            block.neighbors.resize(block.offsets.back());
-            const std::size_t chunk_size = std::max<std::size_t>(
-                grain_.min_chunk, dst.size() / (pool.size() * 4));
-            const std::size_t num_chunks =
-                (dst.size() + chunk_size - 1) / chunk_size;
-            std::vector<NodeList> candidates(num_chunks);
-            util::ParallelForOptions opts;
-            opts.grain = 1;
-            pool.parallelFor(
-                0, num_chunks, opts, [&](std::size_t c) {
-                    const std::size_t d0 = c * chunk_size;
-                    const std::size_t d1 =
-                        std::min(dst.size(), d0 + chunk_size);
-                    ChunkDedup &local = chunkDedup();
-                    local.beginChunk(id_space);
-                    NodeList &out = candidates[c];
-                    EdgeIndex e = block.offsets[d0];
-                    for (std::size_t i = d0; i < d1; ++i) {
-                        for (NodeId nbr :
-                             adjacency.neighbors(dst[i])) {
-                            block.neighbors[e++] = nbr;
-                            if (seen[nbr] == epoch)
-                                continue; // a destination
-                            if (local.stamp[nbr] == local.epoch)
-                                continue; // already a candidate
-                            local.stamp[nbr] = local.epoch;
-                            out.push_back(nbr);
-                        }
-                    }
-                });
-            // Phase B (serial stitch): walk chunks ascending and
-            // append unseen candidates. The first global occurrence
-            // of any id lies in the earliest chunk that saw it, at
-            // its first within-chunk position — so this append order
-            // IS the serial first-seen order, for any chunking.
-            for (const NodeList &cands : candidates) {
-                for (NodeId nbr : cands) {
-                    if (seen[nbr] != epoch) {
-                        seen[nbr] = epoch;
-                        to_block[nbr] = static_cast<NodeId>(
-                            block.src_nodes.size());
-                        block.src_nodes.push_back(nbr);
-                    }
-                }
-            }
-            // Phase C (parallel): map raw local ids to block ids;
-            // the table is read-only now and every edge has exactly
-            // one owner.
-            pool.parallelFor(
-                0, num_chunks, opts, [&](std::size_t c) {
-                    const std::size_t d0 = c * chunk_size;
-                    const std::size_t d1 =
-                        std::min(dst.size(), d0 + chunk_size);
-                    for (EdgeIndex e = block.offsets[d0];
-                         e < block.offsets[d1]; ++e)
-                        block.neighbors[e] =
-                            to_block[block.neighbors[e]];
-                });
-        }
+            },
+            table, block.src_nodes);
         dst = block.src_nodes; // subgraph-local ids
         charge(times, Phase::BlockConstruction, watch);
     }
