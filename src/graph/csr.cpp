@@ -16,18 +16,24 @@ CsrGraph::CsrGraph(std::vector<EdgeIndex> offsets,
                   "CsrGraph: offsets must start at 0");
     checkArgument(offsets_.back() == targets_.size(),
                   "CsrGraph: last offset must equal number of targets");
-    const NodeId n = numNodes();
-    for (std::size_t i = 1; i < offsets_.size(); ++i) {
-        checkArgument(offsets_[i - 1] <= offsets_[i],
-                      "CsrGraph: offsets must be non-decreasing");
-    }
+    // Branch-free reductions over every offset and edge (they
+    // vectorize), then one check each.
+    bool non_decreasing = true;
+    for (std::size_t i = 1; i < offsets_.size(); ++i)
+        non_decreasing &= offsets_[i - 1] <= offsets_[i];
+    checkArgument(non_decreasing,
+                  "CsrGraph: offsets must be non-decreasing");
+    NodeId max_target = 0;
+    for (NodeId target : targets_)
+        max_target = std::max(max_target, target);
+    checkArgument(targets_.empty() || max_target < numNodes(),
+                  "CsrGraph: target id out of range");
+    const NodeId *t = targets_.data();
     for (std::size_t row = 0; row + 1 < offsets_.size(); ++row) {
-        for (EdgeIndex e = offsets_[row]; e < offsets_[row + 1]; ++e) {
-            checkArgument(targets_[e] < n,
-                          "CsrGraph: target id out of range");
-            if (e > offsets_[row] && targets_[e - 1] > targets_[e])
-                rows_sorted_ = false;
-        }
+        bool sorted = true;
+        for (EdgeIndex e = offsets_[row] + 1; e < offsets_[row + 1]; ++e)
+            sorted &= t[e - 1] <= t[e];
+        rows_sorted_ &= sorted;
     }
 }
 

@@ -54,12 +54,17 @@ fillFirstSeen(std::span<const EdgeIndex> offsets, std::span<NodeId> edges,
     pool->parallelFor(0, num_chunks, opts, [&](std::size_t c) {
         const std::size_t r0 = c * rows_per_chunk;
         fill(r0, std::min(rows, r0 + rows_per_chunk));
+        // Collected in a list of its own, then moved in: pushing
+        // into candidates[c] would write list headers that share
+        // cache lines with the neighboring chunks'.
         FirstSeenTable &local = chunkTable();
         local.begin(table.idSpace());
+        NodeList found;
         for (NodeId id : edgesOf(c)) {
             if (!table.contains(id))
-                local.add(id, candidates[c]);
+                local.add(id, found);
         }
+        candidates[c] = std::move(found);
     });
     // Phase B.
     for (const NodeList &ids : candidates)

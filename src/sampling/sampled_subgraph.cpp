@@ -2,45 +2,89 @@
 
 #include <algorithm>
 
+#include "sampling/first_seen.h"
 #include "util/errors.h"
 
 namespace buffalo::sampling {
 
 namespace {
 
-/**
- * Per-thread global -> local id table over the parent graph's id
- * space: stamp[g] == epoch marks g as already in the batch being
- * sampled, and local[g] holds its local id. Epoch-stamped so each
- * sample() resets it in O(1); it keeps its size across calls, bounded
- * by the largest graph the thread has sampled.
- */
-struct IdTable
-{
-    std::vector<std::uint32_t> stamp;
-    std::vector<NodeId> local;
-    std::uint32_t epoch = 0;
+/** Floyd draws up to this size check membership by scanning. */
+constexpr std::size_t kScanMaxCount = 64;
 
-    void
-    begin(std::size_t id_space)
+/**
+ * Per-thread global -> local tables over the parent graph's id space,
+ * one per nesting depth: while a sample() call waits on its chunks,
+ * its thread may run another queued task, and a task that samples
+ * must not reuse the waiting call's table. The tables keep their size
+ * across calls, bounded by the largest graph the thread has sampled.
+ */
+class IdTableLease
+{
+  public:
+    IdTableLease()
     {
-        if (stamp.size() < id_space) {
-            stamp.assign(id_space, 0);
-            local.resize(id_space);
-            epoch = 0;
-        }
-        if (++epoch == 0) {
-            std::fill(stamp.begin(), stamp.end(), 0);
-            epoch = 1;
-        }
+        Stack &s = stack();
+        if (s.tables.size() == s.depth)
+            s.tables.push_back(std::make_unique<FirstSeenTable>());
+        table_ = s.tables[s.depth++].get();
     }
+    ~IdTableLease() { --stack().depth; }
+
+    IdTableLease(const IdTableLease &) = delete;
+    IdTableLease &operator=(const IdTableLease &) = delete;
+
+    FirstSeenTable &table() { return *table_; }
+
+  private:
+    struct Stack
+    {
+        std::vector<std::unique_ptr<FirstSeenTable>> tables;
+        std::size_t depth = 0;
+    };
+
+    static Stack &
+    stack()
+    {
+        static thread_local Stack s;
+        return s;
+    }
+
+    FirstSeenTable *table_;
 };
 
-IdTable &
-idTable()
+/**
+ * Writes @p count distinct positions of [0, population) to @p out by
+ * Floyd's algorithm, one bounded draw per position, in pick order:
+ * for j in [population - count, population), draw t in [0, j] and
+ * take t unless taken, else j. Up to kScanMaxCount picks check
+ * membership by scanning @p out; more stamp a per-thread table over
+ * the population.
+ */
+void
+floydPositions(util::CounterStream &stream, std::uint64_t population,
+               std::size_t count, NodeId *out)
 {
-    static thread_local IdTable table;
-    return table;
+    const std::uint64_t first = population - count;
+    if (count <= kScanMaxCount) {
+        for (std::size_t n = 0; n < count; ++n) {
+            const std::uint64_t j = first + n;
+            const auto t = static_cast<NodeId>(stream.nextBounded(j + 1));
+            out[n] = std::find(out, out + n, t) != out + n
+                         ? static_cast<NodeId>(j)
+                         : t;
+        }
+        return;
+    }
+    static thread_local FirstSeenTable taken;
+    static thread_local NodeList picks;
+    taken.begin(population);
+    picks.clear();
+    for (std::uint64_t j = first; j < population; ++j) {
+        const auto t = static_cast<NodeId>(stream.nextBounded(j + 1));
+        taken.add(taken.contains(t) ? static_cast<NodeId>(j) : t, picks);
+    }
+    std::copy(picks.begin(), picks.end(), out);
 }
 
 } // namespace
@@ -95,75 +139,103 @@ SampledSubgraph::memoryBytes() const
     return total;
 }
 
-NeighborSampler::NeighborSampler(std::vector<int> fanouts)
-    : fanouts_(std::move(fanouts))
+NeighborSampler::NeighborSampler(std::vector<int> fanouts,
+                                 util::ThreadPool *pool)
+    : NeighborSampler(std::move(fanouts), pool, Grain{})
+{
+}
+
+NeighborSampler::NeighborSampler(std::vector<int> fanouts,
+                                 util::ThreadPool *pool, Grain grain)
+    : fanouts_(std::move(fanouts)), pool_(pool), grain_(grain)
 {
     checkArgument(!fanouts_.empty(),
                   "NeighborSampler: need at least one layer");
     for (int f : fanouts_)
         checkArgument(f >= 1, "NeighborSampler: fanouts must be >= 1");
+    checkArgument(grain_.parallel_rows_threshold >= 1 &&
+                      grain_.min_chunk >= 1,
+                  "NeighborSampler: grain fields must be >= 1");
 }
 
 SampledSubgraph
 NeighborSampler::sample(const CsrGraph &graph, const NodeList &seeds,
                         util::Rng &rng) const
 {
+    const std::uint64_t batch_key = rng.next();
+    util::ThreadPool &pool =
+        pool_ ? *pool_ : util::ThreadPool::global();
+    const bool may_fan_out =
+        pool.size() > 1 && !util::ThreadPool::inPoolTask();
+
     SampledSubgraph sg;
     sg.parent_ = &graph;
     sg.fanouts_ = fanouts_;
     sg.num_seeds_ = static_cast<NodeId>(seeds.size());
 
-    // Global -> local ids while the union grows: one array probe per
-    // sampled edge.
-    IdTable &ids = idTable();
+    IdTableLease lease;
+    FirstSeenTable &ids = lease.table();
     ids.begin(graph.numNodes());
-    const std::uint32_t epoch = ids.epoch;
-    sg.nodes_ = seeds;
-    for (NodeId i = 0; i < seeds.size(); ++i) {
-        checkArgument(seeds[i] < graph.numNodes(),
+    for (NodeId seed : seeds) {
+        checkArgument(seed < graph.numNodes(),
                       "NeighborSampler::sample: seed out of range");
-        checkArgument(ids.stamp[seeds[i]] != epoch,
+        checkArgument(!ids.contains(seed),
                       "NeighborSampler::sample: duplicate seed");
-        ids.stamp[seeds[i]] = epoch;
-        ids.local[seeds[i]] = i;
+        ids.add(seed, sg.nodes_);
     }
 
-    // Each layer's CSR is written while sampling: destinations are the
-    // local ids 0..frontier_end-1 in order, and a row stores local ids
-    // (new neighbors get the next id in first-seen order).
+    // Layer by layer from the seeds down, the destinations are every
+    // node numbered so far (local ids 0..frontier-1). Each row takes
+    // min(degree, fanout) slots: the whole neighbor list when it fits,
+    // else the row's own stream's Floyd picks. New neighbors get the
+    // next local ids in first-seen order (fillFirstSeen).
     const int num_layers = numLayers();
     std::vector<std::vector<EdgeIndex>> offsets(num_layers);
     std::vector<NodeList> targets(num_layers);
-
-    // frontier = local ids that are destinations at the current layer.
-    NodeId frontier_end = sg.num_seeds_;
     for (int layer = num_layers - 1; layer >= 0; --layer) {
-        const auto fanout = static_cast<std::uint64_t>(fanouts_[layer]);
+        const std::size_t frontier = sg.nodes_.size();
+        const auto fanout = static_cast<EdgeIndex>(fanouts_[layer]);
+        const std::uint64_t layer_key =
+            util::CounterStream::streamKey(batch_key, layer);
+        const bool fan_out =
+            may_fan_out && frontier > grain_.parallel_rows_threshold;
+        const std::size_t chunk_rows = std::max<std::size_t>(
+            grain_.min_chunk, frontier / (pool.size() * 4));
+
         std::vector<EdgeIndex> &row_offsets = offsets[layer];
-        NodeList &row_targets = targets[layer];
-        row_offsets.reserve(static_cast<std::size_t>(frontier_end) + 1);
-        row_offsets.push_back(0);
-        auto append = [&](NodeId nbr) {
-            if (ids.stamp[nbr] != epoch) {
-                ids.stamp[nbr] = epoch;
-                ids.local[nbr] = static_cast<NodeId>(sg.nodes_.size());
-                sg.nodes_.push_back(nbr);
-            }
-            row_targets.push_back(ids.local[nbr]);
-        };
-        for (NodeId local = 0; local < frontier_end; ++local) {
-            auto nbrs = graph.neighbors(sg.nodes_[local]);
-            if (nbrs.size() <= fanout) {
-                for (NodeId nbr : nbrs)
-                    append(nbr);
-            } else {
-                for (auto pick :
-                     rng.sampleWithoutReplacement(nbrs.size(), fanout))
-                    append(nbrs[pick]);
-            }
-            row_offsets.push_back(row_targets.size());
+        row_offsets.resize(frontier + 1);
+        row_offsets[0] = 0;
+        for (std::size_t r = 0; r < frontier; ++r) {
+            row_offsets[r + 1] =
+                row_offsets[r] +
+                std::min(graph.degree(sg.nodes_[r]), fanout);
         }
-        frontier_end = static_cast<NodeId>(sg.nodes_.size());
+
+        NodeList &row_targets = targets[layer];
+        row_targets.resize(row_offsets.back());
+        fillFirstSeen(
+            row_offsets, row_targets, chunk_rows,
+            fan_out ? &pool : nullptr,
+            [&](std::size_t r0, std::size_t r1) {
+                for (std::size_t r = r0; r < r1; ++r) {
+                    const NodeId global = sg.nodes_[r];
+                    const auto nbrs = graph.neighbors(global);
+                    NodeId *out = row_targets.data() + row_offsets[r];
+                    const std::size_t count =
+                        row_offsets[r + 1] - row_offsets[r];
+                    if (count == nbrs.size()) {
+                        std::copy(nbrs.begin(), nbrs.end(), out);
+                        continue;
+                    }
+                    util::CounterStream stream(
+                        util::CounterStream::streamKey(layer_key,
+                                                       global));
+                    floydPositions(stream, nbrs.size(), count, out);
+                    for (std::size_t i = 0; i < count; ++i)
+                        out[i] = nbrs[out[i]];
+                }
+            },
+            ids, sg.nodes_);
     }
 
     // Pad each layer's CSR to the final union size (non-destinations

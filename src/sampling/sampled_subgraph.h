@@ -21,6 +21,7 @@
 #include "graph/csr.h"
 #include "graph/types.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace buffalo::sampling {
 
@@ -106,25 +107,62 @@ class SampledSubgraph
  * 2-hop neighbors are 25 and 10": fanouts are given input-most layer
  * first, so a 2-layer model with fanouts {10, 25} samples 25 neighbors
  * per seed at the top layer and 10 at the input layer.
+ *
+ * Each destination draws its picks from its own util::CounterStream,
+ * keyed by (batch key, layer, global node id), so a layer samples in
+ * parallel chunks of its frontier and the sampled bytes do not depend
+ * on the pool, the chunking or the thread that runs a chunk.
  */
 class NeighborSampler
 {
   public:
-    /** Creates a sampler with per-layer @p fanouts (input-most first). */
-    explicit NeighborSampler(std::vector<int> fanouts);
+    /**
+     * Fan-out tuning. Grain only moves work between workers: the
+     * sampled subgraph is byte-identical for every setting.
+     */
+    struct Grain
+    {
+        /** Frontier size up to which a layer samples serially. */
+        std::size_t parallel_rows_threshold = 512;
+        /** Minimum frontier rows per chunk. */
+        std::size_t min_chunk = 256;
+    };
+
+    /**
+     * Creates a sampler with per-layer @p fanouts (input-most first).
+     *
+     * @param pool Pool the layers fan out on; null uses the
+     *             process-global pool. Called from inside a pool task
+     *             (any pool's), sample() runs on the calling thread,
+     *             the rule the estimator and the compute kernels
+     *             follow, so a prefetcher stage never takes workers
+     *             from compute.
+     */
+    explicit NeighborSampler(std::vector<int> fanouts,
+                             util::ThreadPool *pool = nullptr);
+
+    /** @param grain Fan-out tuning; both fields must be >= 1. */
+    NeighborSampler(std::vector<int> fanouts, util::ThreadPool *pool,
+                    Grain grain);
 
     /** Number of layers this sampler expands. */
     int numLayers() const { return static_cast<int>(fanouts_.size()); }
 
     /**
      * Samples the batch subgraph for @p seeds. Seeds must be unique.
-     * Seeds receive local ids 0..seeds.size()-1 in order.
+     * Seeds receive local ids 0..seeds.size()-1 in order; every other
+     * node is numbered at its first occurrence in a row-ascending,
+     * top-layer-first scan of the sampled rows.
+     *
+     * Takes exactly one rng.next() per call, the batch key.
      */
     SampledSubgraph sample(const CsrGraph &graph, const NodeList &seeds,
                            util::Rng &rng) const;
 
   private:
     std::vector<int> fanouts_;
+    util::ThreadPool *pool_;
+    Grain grain_;
 };
 
 } // namespace buffalo::sampling

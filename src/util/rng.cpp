@@ -9,17 +9,6 @@ namespace buffalo::util {
 
 namespace {
 
-/** SplitMix64 step, used only to expand the user seed into engine state. */
-std::uint64_t
-splitMix64(std::uint64_t &x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
-
 /** Floyd draws up to this size check membership by scanning. */
 constexpr std::uint64_t kScanMaxCount = 64;
 
@@ -33,9 +22,10 @@ rotl(std::uint64_t x, int k)
 
 Rng::Rng(std::uint64_t seed)
 {
-    std::uint64_t sm = seed;
+    // SplitMix64 expands the seed into engine state.
+    CounterStream expand(seed);
     for (auto &word : state_)
-        word = splitMix64(sm);
+        word = expand.next();
 }
 
 std::uint64_t

@@ -4,7 +4,10 @@
  *
  * All randomness in the library flows through Rng so every experiment is
  * reproducible from a single seed. The engine is xoshiro256**, seeded via
- * SplitMix64 as its authors recommend.
+ * SplitMix64 as its authors recommend. CounterStream is the keyed,
+ * random-access companion: work split across threads draws from
+ * streams keyed by what it is (say a batch, a layer and a node), so
+ * its draws do not depend on which thread runs it or in what order.
  */
 #pragma once
 
@@ -67,6 +70,69 @@ class Rng
     std::uint64_t state_[4];
     bool have_spare_gaussian_ = false;
     double spare_gaussian_ = 0.0;
+};
+
+/**
+ * SplitMix64 over a counter: draw n of the stream keyed K is
+ * mix(K + n * gamma), with SplitMix64's gamma and output mix. Cheap to
+ * create (one word of state), so one stream per unit of work costs
+ * nothing; streamKey() derives the keys of sub-streams.
+ */
+class CounterStream
+{
+  public:
+    explicit CounterStream(std::uint64_t key) : state_(key) {}
+
+    /** Returns the next raw 64-bit output. */
+    std::uint64_t
+    next()
+    {
+        state_ += kGamma;
+        return mix(state_);
+    }
+
+    /**
+     * Returns a uniform integer in [0, bound); @p bound must be > 0.
+     * Lemire's multiply-shift: the high word of draw x bound, redrawn
+     * only when the low word falls below 2^64 mod bound, so the common
+     * path does no division.
+     */
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        unsigned __int128 m =
+            static_cast<unsigned __int128>(next()) * bound;
+        auto low = static_cast<std::uint64_t>(m);
+        if (low < bound) {
+            const std::uint64_t threshold = -bound % bound;
+            while (low < threshold) {
+                m = static_cast<unsigned __int128>(next()) * bound;
+                low = static_cast<std::uint64_t>(m);
+            }
+        }
+        return static_cast<std::uint64_t>(m >> 64);
+    }
+
+    /** Key of sub-stream @p index of the stream keyed @p key: that
+     *  stream's draw index + 1. */
+    static std::uint64_t
+    streamKey(std::uint64_t key, std::uint64_t index)
+    {
+        return mix(key + (index + 1) * kGamma);
+    }
+
+  private:
+    static constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
+
+    static std::uint64_t
+    mix(std::uint64_t z)
+    {
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+        return z ^ (z >> 31);
+    }
+
+    std::uint64_t state_;
 };
 
 } // namespace buffalo::util

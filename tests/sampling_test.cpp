@@ -141,10 +141,17 @@ TEST(NeighborSampler, LocalIdIndexIsBuiltOnceUnderRacingLookups)
         thread.join();
     for (int count : mismatches)
         EXPECT_EQ(count, 0);
-    // A built index moves with its subgraph.
+    // A built index moves with its subgraph and answers absent ids.
     SampledSubgraph moved = std::move(sg);
+    const std::set<NodeId> in_batch(moved.nodes().begin(),
+                                    moved.nodes().end());
+    for (NodeId global = 0; global < g.numNodes(); ++global) {
+        if (!in_batch.count(global)) {
+            EXPECT_EQ(moved.tryLocalId(global),
+                      static_cast<NodeId>(-1));
+        }
+    }
     EXPECT_EQ(moved.localId(moved.globalId(7)), 7u);
-    EXPECT_EQ(moved.tryLocalId(599), static_cast<NodeId>(-1));
 }
 
 /** Graph families of the golden sampling digests. */
@@ -180,9 +187,9 @@ sampleFamily(const CsrGraph &g, std::uint64_t seed)
 }
 
 /**
- * Golden digests of SampledSubgraph, computed from the sampler before
- * it replaced its hash maps with flat id tables. Any change here means
- * a sampled batch changed.
+ * Golden digests of SampledSubgraph, computed when the sampler moved
+ * to counter-keyed per-node streams. Any change here means a sampled
+ * batch changed.
  */
 TEST(SampleDigest, PinnedPerFamilyAndSeed)
 {
@@ -193,12 +200,12 @@ TEST(SampleDigest, PinnedPerFamilyAndSeed)
         std::uint64_t golden;
     };
     const std::vector<Case> cases = {
-        {Family::BarabasiAlbert, 1, 0x1bd6fcb6f711cc98ULL},
-        {Family::BarabasiAlbert, 2, 0x3964eb6db7eb5bdaULL},
-        {Family::ErdosRenyi, 1, 0x9ebc717c42bf4a38ULL},
-        {Family::ErdosRenyi, 2, 0x44a0fd04138e3ae1ULL},
-        {Family::CommunityPowerLaw, 1, 0x7f4c77c917d3d691ULL},
-        {Family::CommunityPowerLaw, 2, 0x8f8758203b11c730ULL},
+        {Family::BarabasiAlbert, 1, 0x87c61c3c1939050cULL},
+        {Family::BarabasiAlbert, 2, 0x11f7378c6485c7dbULL},
+        {Family::ErdosRenyi, 1, 0x78eeb578d8d4e814ULL},
+        {Family::ErdosRenyi, 2, 0xb185e88747ffe004ULL},
+        {Family::CommunityPowerLaw, 1, 0x1410ae68503c3ed9ULL},
+        {Family::CommunityPowerLaw, 2, 0xdb521b779debb751ULL},
     };
     for (const Case &c : cases) {
         const CsrGraph g = familyGraph(c.family, c.seed);
@@ -245,6 +252,125 @@ TEST(SampleDigest, ConcurrentThreadsMatchSerial)
             EXPECT_EQ(seen[t][k], serial[g])
                 << "thread " << t << " sample " << k;
         }
+    }
+}
+
+/** Digest of sampleFamily's batch drawn by @p sampler. */
+std::uint64_t
+digestWith(const NeighborSampler &sampler, const CsrGraph &g,
+           std::uint64_t seed)
+{
+    util::Rng rng(seed * 7 + 1);
+    return testing_digest::digest(
+        sampler.sample(g, firstSeeds(200), rng));
+}
+
+TEST(SampleDigest, SameBytesOnEveryPoolChunkingAndInsideAPoolTask)
+{
+    const CsrGraph g = familyGraph(Family::BarabasiAlbert, 1);
+    const std::uint64_t want = 0x87c61c3c1939050cULL;
+    util::ThreadPool one(1), two(2), four(4);
+    EXPECT_EQ(digestWith(NeighborSampler({10, 25}, &one), g, 1), want);
+    EXPECT_EQ(digestWith(NeighborSampler({10, 25}), g, 1), want);
+    // A threshold of 1 row fans every layer out, in chunks of
+    // min_chunk rows that cut the 200-seed and ~2700-node frontiers
+    // at many places.
+    for (util::ThreadPool *pool : {&one, &two, &four}) {
+        for (const std::size_t min_chunk : {1u, 3u, 64u, 5000u}) {
+            NeighborSampler::Grain grain;
+            grain.parallel_rows_threshold = 1;
+            grain.min_chunk = min_chunk;
+            EXPECT_EQ(digestWith(NeighborSampler({10, 25}, pool, grain),
+                                 g, 1),
+                      want)
+                << "workers=" << pool->size()
+                << " min_chunk=" << min_chunk;
+        }
+    }
+
+    // Inside pool tasks a call samples on its own thread. Queued on
+    // the pool this thread fans out on, a task may also run while
+    // this thread waits for its chunks, nested in its sample() call.
+    NeighborSampler::Grain fine;
+    fine.parallel_rows_threshold = 1;
+    fine.min_chunk = 8;
+    const NeighborSampler on_four({10, 25}, &four, fine);
+    std::vector<std::uint64_t> nested(8, 0);
+    for (std::size_t t = 0; t < nested.size(); ++t) {
+        four.submit([&, t] {
+            nested[t] = digestWith(
+                t % 2 == 0 ? on_four : NeighborSampler({10, 25}), g, 1);
+        });
+    }
+    for (int round = 0; round < 4; ++round)
+        EXPECT_EQ(digestWith(on_four, g, 1), want);
+    four.wait();
+    for (std::uint64_t d : nested)
+        EXPECT_EQ(d, want);
+}
+
+TEST(NeighborSampler, TakesExactlyOneDrawFromTheCallersRng)
+{
+    CsrGraph g = testGraph();
+    NeighborSampler sampler({10, 25});
+    util::Rng used(21), reference(21);
+    sampler.sample(g, firstSeeds(50), used);
+    reference.next();
+    EXPECT_EQ(used.next(), reference.next());
+}
+
+/** One destination (node 0) whose in-neighbors are 1..degree. */
+CsrGraph
+starGraph(NodeId degree)
+{
+    std::vector<EdgeIndex> offsets(degree + 2, degree);
+    offsets[0] = 0;
+    NodeList targets(degree);
+    for (NodeId i = 0; i < degree; ++i)
+        targets[i] = i + 1;
+    return CsrGraph(std::move(offsets), std::move(targets));
+}
+
+TEST(NeighborSampler, PicksAreUniformOverBatchKeys)
+{
+    // 4000 batches pick 5 of node 0's 40 neighbors: each neighbor is
+    // expected 500 times. Chi-square with 39 degrees of freedom stays
+    // below 72.05 with probability 0.999 when picks are uniform.
+    constexpr NodeId kDegree = 40;
+    constexpr int kFanout = 5, kBatches = 4000;
+    const CsrGraph g = starGraph(kDegree);
+    NeighborSampler sampler({kFanout});
+    util::Rng rng(33);
+    std::vector<int> counts(kDegree + 1, 0);
+    for (int b = 0; b < kBatches; ++b) {
+        const SampledSubgraph sg = sampler.sample(g, {0}, rng);
+        for (NodeId local : sg.layerAdjacency(0).neighbors(0))
+            ++counts[sg.globalId(local)];
+    }
+    const double expected =
+        static_cast<double>(kBatches) * kFanout / kDegree;
+    double chi2 = 0.0;
+    for (NodeId v = 1; v <= kDegree; ++v)
+        chi2 += (counts[v] - expected) * (counts[v] - expected) / expected;
+    EXPECT_LT(chi2, 72.05);
+}
+
+TEST(NeighborSampler, FanoutAbove64GivesDistinctValidPicks)
+{
+    const CsrGraph g = starGraph(300);
+    for (const int fanout : {65, 100, 299}) {
+        NeighborSampler sampler({fanout});
+        util::Rng rng(fanout);
+        const SampledSubgraph sg = sampler.sample(g, {0}, rng);
+        const auto row = sg.layerAdjacency(0).neighbors(0);
+        ASSERT_EQ(row.size(), static_cast<std::size_t>(fanout));
+        std::set<NodeId> picked;
+        for (NodeId local : row) {
+            const NodeId global = sg.globalId(local);
+            EXPECT_TRUE(g.hasEdge(0, global));
+            picked.insert(global);
+        }
+        EXPECT_EQ(picked.size(), row.size()) << "fanout " << fanout;
     }
 }
 
