@@ -9,9 +9,6 @@ namespace buffalo::sampling {
 
 namespace {
 
-/** Floyd draws up to this size check membership by scanning. */
-constexpr std::size_t kScanMaxCount = 64;
-
 /**
  * Per-thread global -> local tables over the parent graph's id space,
  * one per nesting depth: while a sample() call waits on its chunks,
@@ -52,40 +49,6 @@ class IdTableLease
 
     FirstSeenTable *table_;
 };
-
-/**
- * Writes @p count distinct positions of [0, population) to @p out by
- * Floyd's algorithm, one bounded draw per position, in pick order:
- * for j in [population - count, population), draw t in [0, j] and
- * take t unless taken, else j. Up to kScanMaxCount picks check
- * membership by scanning @p out; more stamp a per-thread table over
- * the population.
- */
-void
-floydPositions(util::CounterStream &stream, std::uint64_t population,
-               std::size_t count, NodeId *out)
-{
-    const std::uint64_t first = population - count;
-    if (count <= kScanMaxCount) {
-        for (std::size_t n = 0; n < count; ++n) {
-            const std::uint64_t j = first + n;
-            const auto t = static_cast<NodeId>(stream.nextBounded(j + 1));
-            out[n] = std::find(out, out + n, t) != out + n
-                         ? static_cast<NodeId>(j)
-                         : t;
-        }
-        return;
-    }
-    static thread_local FirstSeenTable taken;
-    static thread_local NodeList picks;
-    taken.begin(population);
-    picks.clear();
-    for (std::uint64_t j = first; j < population; ++j) {
-        const auto t = static_cast<NodeId>(stream.nextBounded(j + 1));
-        taken.add(taken.contains(t) ? static_cast<NodeId>(j) : t, picks);
-    }
-    std::copy(picks.begin(), picks.end(), out);
-}
 
 } // namespace
 
@@ -230,7 +193,11 @@ NeighborSampler::sample(const CsrGraph &graph, const NodeList &seeds,
                     util::CounterStream stream(
                         util::CounterStream::streamKey(layer_key,
                                                        global));
-                    floydPositions(stream, nbrs.size(), count, out);
+                    util::floydSample(
+                        nbrs.size(), count, out,
+                        [&stream](std::uint64_t bound) {
+                            return stream.nextBounded(bound);
+                        });
                     for (std::size_t i = 0; i < count; ++i)
                         out[i] = nbrs[out[i]];
                 }

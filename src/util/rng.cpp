@@ -9,9 +9,6 @@ namespace buffalo::util {
 
 namespace {
 
-/** Floyd draws up to this size check membership by scanning. */
-constexpr std::uint64_t kScanMaxCount = 64;
-
 std::uint64_t
 rotl(std::uint64_t x, int k)
 {
@@ -106,28 +103,9 @@ Rng::sampleWithoutReplacement(std::uint64_t population, std::uint64_t count)
         shuffle(all);
         return all;
     }
-    // Floyd's algorithm: for j in [population - count, population), pick a
-    // uniform t in [0, j]; insert t unless taken, else insert j. The
-    // taken set is exactly the result so far: short draws (neighbor
-    // fanouts) scan it, longer ones mark a bitmap over the population.
-    std::vector<std::uint64_t> result;
-    result.reserve(count);
-    std::vector<bool> taken_bits;
-    const bool scan = count <= kScanMaxCount;
-    if (!scan)
-        taken_bits.resize(population, false);
-    auto taken = [&](std::uint64_t v) {
-        return scan ? std::find(result.begin(), result.end(), v) !=
-                          result.end()
-                    : static_cast<bool>(taken_bits[v]);
-    };
-    for (std::uint64_t j = population - count; j < population; ++j) {
-        const std::uint64_t t = nextBounded(j + 1);
-        const std::uint64_t pick = taken(t) ? j : t;
-        if (!scan)
-            taken_bits[pick] = true;
-        result.push_back(pick);
-    }
+    std::vector<std::uint64_t> result(count);
+    floydSample(population, count, result.data(),
+                [this](std::uint64_t bound) { return nextBounded(bound); });
     return result;
 }
 

@@ -11,10 +11,38 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 namespace buffalo::util {
+
+/**
+ * Floyd's algorithm: writes @p count distinct values of
+ * [0, population) to @p out in pick order, one draw(bound) call (a
+ * uniform value in [0, bound)) per value. For j in
+ * [population - count, population) it draws t in [0, j] and takes t
+ * unless taken, else j. Counts up to 64 check membership by scanning
+ * the picks so far (no allocation); larger counts mark a bitmap of
+ * population bits. @p count must not exceed @p population.
+ */
+template <typename T, typename Draw>
+void
+floydSample(std::uint64_t population, std::uint64_t count, T *out,
+            Draw &&draw)
+{
+    const bool scan = count <= 64;
+    std::vector<bool> taken_bits(scan ? 0 : population, false);
+    for (std::uint64_t n = 0; n < count; ++n) {
+        const std::uint64_t j = population - count + n;
+        const auto t = static_cast<T>(draw(j + 1));
+        const bool taken = scan ? std::find(out, out + n, t) != out + n
+                                : static_cast<bool>(taken_bits[t]);
+        out[n] = taken ? static_cast<T>(j) : t;
+        if (!scan)
+            taken_bits[out[n]] = true;
+    }
+}
 
 /** xoshiro256** pseudo-random generator with convenience samplers. */
 class Rng
@@ -43,11 +71,8 @@ class Rng
 
     /**
      * Samples @p count distinct values from [0, population) without
-     * replacement. Uses Floyd's algorithm, one draw per value. Counts
-     * up to 64 check membership by scanning the picks so far
-     * (O(count^2), no allocation beyond the result); larger counts use
-     * a bitmap of population bits. When count >= population, returns
-     * the whole range shuffled.
+     * replacement by floydSample(), one nextBounded() per value. When
+     * count >= population, returns the whole range shuffled.
      */
     std::vector<std::uint64_t> sampleWithoutReplacement(
         std::uint64_t population, std::uint64_t count);

@@ -177,6 +177,29 @@ TEST(Rng, ForkIsIndependent)
     EXPECT_LT(equal, 3);
 }
 
+TEST(CounterStream, KeyedDrawsAndBoundedRange)
+{
+    // Draw n of a stream depends on its key alone; sub-stream i's key
+    // is draw i + 1 of the parent stream.
+    CounterStream a(5), b(5), other(6);
+    std::vector<std::uint64_t> draws;
+    for (int i = 0; i < 8; ++i) {
+        draws.push_back(a.next());
+        EXPECT_EQ(draws.back(), b.next());
+        EXPECT_NE(draws.back(), other.next());
+    }
+    EXPECT_EQ(CounterStream::streamKey(5, 0), draws[0]);
+    EXPECT_EQ(CounterStream::streamKey(5, 7), draws[7]);
+    // Bounds near 2^64 take Lemire's rejection path often.
+    for (const std::uint64_t bound :
+         {1ULL, 2ULL, 3ULL, 7ULL, (1ULL << 32) + 1, (1ULL << 63) + 1,
+          ~0ULL}) {
+        CounterStream stream(bound);
+        for (int i = 0; i < 200; ++i)
+            EXPECT_LT(stream.nextBounded(bound), bound);
+    }
+}
+
 TEST(Histogram, LinearBinning)
 {
     Histogram h = Histogram::linear(10.0, 5);
