@@ -461,6 +461,7 @@ TEST_F(BlockGeneration, RejectsNonSeedOutputs)
     FastBlockGenerator fast;
     EXPECT_THROW(fast.generate(*sg_, {sg_->numSeeds()}),
                  InvalidArgument);
+    EXPECT_THROW(fast.generate(*sg_, {1, 1}), InvalidArgument);
 }
 
 TEST_F(BlockGeneration, PhaseTimerReceivesBothPhases)
