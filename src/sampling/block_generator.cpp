@@ -174,7 +174,6 @@ FastBlockGenerator::generate(const SampledSubgraph &sg,
         // above the threshold in chunks on the pool, byte-identical
         // to the serial order at any chunk or thread count.
         table.begin(sg.nodes().size());
-        block.src_nodes.clear();
         for (NodeId local : dst)
             table.add(local, block.src_nodes);
         checkArgument(block.src_nodes.size() == dst.size(),

@@ -66,7 +66,7 @@ fillFirstSeen(std::span<const EdgeIndex> offsets, std::span<NodeId> edges,
         }
         candidates[c] = std::move(found);
     });
-    // Phase B.
+    // Phase B: chunk order makes the numbering the serial one.
     for (const NodeList &ids : candidates)
         for (NodeId id : ids)
             table.add(id, order);
