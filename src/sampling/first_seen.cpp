@@ -7,15 +7,15 @@ namespace buffalo::sampling {
 namespace {
 
 /**
- * Per-thread table of phase A's within-chunk first occurrences. A
- * chunk runs to completion on one thread without nesting another, so
- * each thread needs one, reused across chunks and calls.
+ * Per-thread set of the ids a phase A chunk has listed. A chunk runs
+ * to completion on one thread without nesting another, so each thread
+ * needs one, reused across chunks and calls.
  */
-FirstSeenTable &
-chunkTable()
+SeenSet &
+chunkSeen()
 {
-    static thread_local FirstSeenTable table;
-    return table;
+    static thread_local SeenSet seen;
+    return seen;
 }
 
 } // namespace
@@ -57,12 +57,12 @@ fillFirstSeen(std::span<const EdgeIndex> offsets, std::span<NodeId> edges,
         // Collected in a list of its own, then moved in: pushing
         // into candidates[c] would write list headers that share
         // cache lines with the neighboring chunks'.
-        FirstSeenTable &local = chunkTable();
-        local.begin(table.idSpace());
+        SeenSet &listed = chunkSeen();
+        listed.begin(table.idSpace());
         NodeList found;
         for (NodeId id : edgesOf(c)) {
-            if (!table.contains(id))
-                local.add(id, found);
+            if (!table.contains(id) && listed.insert(id))
+                found.push_back(id);
         }
         candidates[c] = std::move(found);
     });

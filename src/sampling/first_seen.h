@@ -38,20 +38,18 @@ using graph::NodeId;
 using graph::NodeList;
 
 /**
- * Raw -> dense id table over a raw id space: stamp[id] == epoch marks
- * id as numbered and number[id] holds its number. Epoch-stamped, so
- * begin() starts a new numbering in O(1); the arrays only grow.
+ * Set of raw ids in [0, id_space): stamp[id] == epoch marks a member.
+ * Epoch-stamped, so begin() empties it in O(1); the array only grows.
  */
-class FirstSeenTable
+class SeenSet
 {
   public:
-    /** Starts an empty numbering over raw ids in [0, id_space). */
+    /** Starts an empty set over raw ids in [0, id_space). */
     void
     begin(std::size_t id_space)
     {
         if (stamp_.size() < id_space) {
             stamp_.assign(id_space, 0);
-            number_.resize(id_space);
             epoch_ = 0;
         }
         if (++epoch_ == 0) {
@@ -60,11 +58,49 @@ class FirstSeenTable
         }
     }
 
-    /** Size of the raw id space the table covers. */
+    /** Size of the raw id space the set covers. */
     std::size_t idSpace() const { return stamp_.size(); }
 
-    /** True when @p id has a number in the current numbering. */
+    /** True when @p id is in the set. */
     bool contains(NodeId id) const { return stamp_[id] == epoch_; }
+
+    /** Adds @p id; true when it was not in the set before. */
+    bool
+    insert(NodeId id)
+    {
+        if (stamp_[id] == epoch_)
+            return false;
+        stamp_[id] = epoch_;
+        return true;
+    }
+
+  private:
+    std::vector<std::uint32_t> stamp_;
+    std::uint32_t epoch_ = 0;
+};
+
+/**
+ * Raw -> dense id table over a raw id space: the numbered ids form a
+ * SeenSet and number[id] holds an id's number. begin() starts a new
+ * numbering in O(1); the arrays only grow.
+ */
+class FirstSeenTable
+{
+  public:
+    /** Starts an empty numbering over raw ids in [0, id_space). */
+    void
+    begin(std::size_t id_space)
+    {
+        numbered_.begin(id_space);
+        if (number_.size() < id_space)
+            number_.resize(id_space);
+    }
+
+    /** Size of the raw id space the table covers. */
+    std::size_t idSpace() const { return numbered_.idSpace(); }
+
+    /** True when @p id has a number in the current numbering. */
+    bool contains(NodeId id) const { return numbered_.contains(id); }
 
     /** The number of @p id; contains(id) must hold. */
     NodeId number(NodeId id) const { return number_[id]; }
@@ -74,17 +110,15 @@ class FirstSeenTable
     void
     add(NodeId id, NodeList &order)
     {
-        if (stamp_[id] == epoch_)
+        if (!numbered_.insert(id))
             return;
-        stamp_[id] = epoch_;
         number_[id] = static_cast<NodeId>(order.size());
         order.push_back(id);
     }
 
   private:
-    std::vector<std::uint32_t> stamp_;
+    SeenSet numbered_;
     std::vector<NodeId> number_;
-    std::uint32_t epoch_ = 0;
 };
 
 /**
