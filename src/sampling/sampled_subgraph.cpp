@@ -9,6 +9,11 @@ namespace buffalo::sampling {
 
 namespace {
 
+/** Frontier size up to which a layer samples serially. */
+constexpr std::size_t kParallelRowsThreshold = 512;
+/** Minimum frontier rows per chunk. */
+constexpr std::size_t kMinChunkRows = 256;
+
 /**
  * Per-thread global -> local tables over the parent graph's id space,
  * one per nesting depth: while a sample() call waits on its chunks,
@@ -104,21 +109,12 @@ SampledSubgraph::memoryBytes() const
 
 NeighborSampler::NeighborSampler(std::vector<int> fanouts,
                                  util::ThreadPool *pool)
-    : NeighborSampler(std::move(fanouts), pool, Grain{})
-{
-}
-
-NeighborSampler::NeighborSampler(std::vector<int> fanouts,
-                                 util::ThreadPool *pool, Grain grain)
-    : fanouts_(std::move(fanouts)), pool_(pool), grain_(grain)
+    : fanouts_(std::move(fanouts)), pool_(pool)
 {
     checkArgument(!fanouts_.empty(),
                   "NeighborSampler: need at least one layer");
     for (int f : fanouts_)
         checkArgument(f >= 1, "NeighborSampler: fanouts must be >= 1");
-    checkArgument(grain_.parallel_rows_threshold >= 1 &&
-                      grain_.min_chunk >= 1,
-                  "NeighborSampler: grain fields must be >= 1");
 }
 
 SampledSubgraph
@@ -161,9 +157,9 @@ NeighborSampler::sample(const CsrGraph &graph, const NodeList &seeds,
         const std::uint64_t layer_key =
             util::CounterStream::streamKey(batch_key, layer);
         const bool fan_out =
-            may_fan_out && frontier > grain_.parallel_rows_threshold;
+            may_fan_out && frontier > kParallelRowsThreshold;
         const std::size_t chunk_rows = std::max<std::size_t>(
-            grain_.min_chunk, frontier / (pool.size() * 4));
+            kMinChunkRows, frontier / (pool.size() * 4));
 
         std::vector<EdgeIndex> &row_offsets = offsets[layer];
         row_offsets.resize(frontier + 1);

@@ -117,18 +117,6 @@ class NeighborSampler
 {
   public:
     /**
-     * Fan-out tuning. Grain only moves work between workers: the
-     * sampled subgraph is byte-identical for every setting.
-     */
-    struct Grain
-    {
-        /** Frontier size up to which a layer samples serially. */
-        std::size_t parallel_rows_threshold = 512;
-        /** Minimum frontier rows per chunk. */
-        std::size_t min_chunk = 256;
-    };
-
-    /**
      * Creates a sampler with per-layer @p fanouts (input-most first).
      *
      * @param pool Pool the layers fan out on; null uses the
@@ -140,10 +128,6 @@ class NeighborSampler
      */
     explicit NeighborSampler(std::vector<int> fanouts,
                              util::ThreadPool *pool = nullptr);
-
-    /** @param grain Fan-out tuning; both fields must be >= 1. */
-    NeighborSampler(std::vector<int> fanouts, util::ThreadPool *pool,
-                    Grain grain);
 
     /** Number of layers this sampler expands. */
     int numLayers() const { return static_cast<int>(fanouts_.size()); }
@@ -162,7 +146,6 @@ class NeighborSampler
   private:
     std::vector<int> fanouts_;
     util::ThreadPool *pool_;
-    Grain grain_;
 };
 
 } // namespace buffalo::sampling

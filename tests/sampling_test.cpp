@@ -14,6 +14,7 @@
 #include "graph/generators.h"
 #include "phase_times.h"
 #include "sampling/block_generator.h"
+#include "sampling/first_seen.h"
 #include "sampling/sampled_subgraph.h"
 #include "util/errors.h"
 
@@ -265,36 +266,24 @@ digestWith(const NeighborSampler &sampler, const CsrGraph &g,
         sampler.sample(g, firstSeeds(200), rng));
 }
 
-TEST(SampleDigest, SameBytesOnEveryPoolChunkingAndInsideAPoolTask)
+TEST(SampleDigest, SameBytesOnEveryPoolAndInsideAPoolTask)
 {
     const CsrGraph g = familyGraph(Family::BarabasiAlbert, 1);
     const std::uint64_t want = 0x87c61c3c1939050cULL;
     util::ThreadPool one(1), two(2), four(4);
-    EXPECT_EQ(digestWith(NeighborSampler({10, 25}, &one), g, 1), want);
     EXPECT_EQ(digestWith(NeighborSampler({10, 25}), g, 1), want);
-    // A threshold of 1 row fans every layer out, in chunks of
-    // min_chunk rows that cut the 200-seed and ~2700-node frontiers
-    // at many places.
+    // The 200-seed layer samples serially and the ~2700-node one in
+    // chunks; chunking alone is covered by FirstSeen's tests below.
     for (util::ThreadPool *pool : {&one, &two, &four}) {
-        for (const std::size_t min_chunk : {1u, 3u, 64u, 5000u}) {
-            NeighborSampler::Grain grain;
-            grain.parallel_rows_threshold = 1;
-            grain.min_chunk = min_chunk;
-            EXPECT_EQ(digestWith(NeighborSampler({10, 25}, pool, grain),
-                                 g, 1),
-                      want)
-                << "workers=" << pool->size()
-                << " min_chunk=" << min_chunk;
-        }
+        EXPECT_EQ(digestWith(NeighborSampler({10, 25}, pool), g, 1),
+                  want)
+            << "workers=" << pool->size();
     }
 
     // Inside pool tasks a call samples on its own thread. Queued on
     // the pool this thread fans out on, a task may also run while
     // this thread waits for its chunks, nested in its sample() call.
-    NeighborSampler::Grain fine;
-    fine.parallel_rows_threshold = 1;
-    fine.min_chunk = 8;
-    const NeighborSampler on_four({10, 25}, &four, fine);
+    const NeighborSampler on_four({10, 25}, &four);
     std::vector<std::uint64_t> nested(8, 0);
     for (std::size_t t = 0; t < nested.size(); ++t) {
         four.submit([&, t] {
@@ -307,6 +296,87 @@ TEST(SampleDigest, SameBytesOnEveryPoolChunkingAndInsideAPoolTask)
     four.wait();
     for (std::uint64_t d : nested)
         EXPECT_EQ(d, want);
+}
+
+/** A CSR of random raw ids in [0, id_space) for fillFirstSeen. */
+struct RawCsr
+{
+    std::vector<EdgeIndex> offsets{0};
+    NodeList raw;
+};
+
+RawCsr
+randomRawCsr(std::size_t rows, NodeId id_space, std::uint64_t seed)
+{
+    util::Rng rng(seed);
+    RawCsr csr;
+    for (std::size_t r = 0; r < rows; ++r) {
+        const auto degree = static_cast<EdgeIndex>(rng.nextBounded(13));
+        for (EdgeIndex e = 0; e < degree; ++e)
+            csr.raw.push_back(
+                static_cast<NodeId>(rng.nextBounded(id_space)));
+        csr.offsets.push_back(csr.raw.size());
+    }
+    return csr;
+}
+
+/** fillFirstSeen over @p csr, with raw ids 0, 7, 14, ... numbered
+ *  first; returns the renumbered edges followed by the order. */
+NodeList
+firstSeenOf(const RawCsr &csr, NodeId id_space, std::size_t chunk_rows,
+            util::ThreadPool *pool)
+{
+    FirstSeenTable table;
+    table.begin(id_space);
+    NodeList order;
+    for (NodeId id = 0; id < id_space; id += 7)
+        table.add(id, order);
+    NodeList edges(csr.raw.size());
+    fillFirstSeen(
+        csr.offsets, edges, chunk_rows, pool,
+        [&](std::size_t r0, std::size_t r1) {
+            std::copy(csr.raw.begin() + csr.offsets[r0],
+                      csr.raw.begin() + csr.offsets[r1],
+                      edges.begin() + csr.offsets[r0]);
+        },
+        table, order);
+    edges.insert(edges.end(), order.begin(), order.end());
+    return edges;
+}
+
+TEST(FirstSeen, SerialPathNumbersInScanOrder)
+{
+    constexpr NodeId kIds = 900;
+    const RawCsr csr = randomRawCsr(300, kIds, 5);
+    std::map<NodeId, NodeId> number;
+    NodeList want_order;
+    for (NodeId id = 0; id < kIds; id += 7) {
+        number.emplace(id, want_order.size());
+        want_order.push_back(id);
+    }
+    NodeList want;
+    for (NodeId id : csr.raw) {
+        if (number.emplace(id, want_order.size()).second)
+            want_order.push_back(id);
+        want.push_back(number.at(id));
+    }
+    want.insert(want.end(), want_order.begin(), want_order.end());
+    EXPECT_EQ(firstSeenOf(csr, kIds, 1, nullptr), want);
+}
+
+TEST(FirstSeen, ChunkedMatchesSerialAtEveryChunkSizeAndPool)
+{
+    constexpr NodeId kIds = 900;
+    const RawCsr csr = randomRawCsr(300, kIds, 6);
+    const NodeList want = firstSeenOf(csr, kIds, 1, nullptr);
+    util::ThreadPool one(1), two(2), four(4);
+    for (util::ThreadPool *pool : {&one, &two, &four}) {
+        for (const std::size_t chunk_rows : {1u, 3u, 64u, 5000u}) {
+            EXPECT_EQ(firstSeenOf(csr, kIds, chunk_rows, pool), want)
+                << "workers=" << pool->size()
+                << " chunk_rows=" << chunk_rows;
+        }
+    }
 }
 
 TEST(NeighborSampler, TakesExactlyOneDrawFromTheCallersRng)
