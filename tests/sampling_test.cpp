@@ -344,7 +344,7 @@ firstSeenOf(const RawCsr &csr, NodeId id_space, std::size_t chunk_rows,
     return edges;
 }
 
-TEST(FirstSeen, SerialPathNumbersInScanOrder)
+TEST(FirstSeen, EveryChunkSizeAndPoolNumbersInScanOrder)
 {
     constexpr NodeId kIds = 900;
     const RawCsr csr = randomRawCsr(300, kIds, 5);
@@ -361,14 +361,8 @@ TEST(FirstSeen, SerialPathNumbersInScanOrder)
         want.push_back(number.at(id));
     }
     want.insert(want.end(), want_order.begin(), want_order.end());
-    EXPECT_EQ(firstSeenOf(csr, kIds, 1, nullptr), want);
-}
 
-TEST(FirstSeen, ChunkedMatchesSerialAtEveryChunkSizeAndPool)
-{
-    constexpr NodeId kIds = 900;
-    const RawCsr csr = randomRawCsr(300, kIds, 6);
-    const NodeList want = firstSeenOf(csr, kIds, 1, nullptr);
+    EXPECT_EQ(firstSeenOf(csr, kIds, 1, nullptr), want);
     util::ThreadPool one(1), two(2), four(4);
     for (util::ThreadPool *pool : {&one, &two, &four}) {
         for (const std::size_t chunk_rows : {1u, 3u, 64u, 5000u}) {
