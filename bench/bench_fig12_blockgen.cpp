@@ -173,7 +173,7 @@ constexpr double kSampleSpeedupFloor = 0.5;
  * Floor on sample_worker_cpu_share: the share of the 4-worker
  * sampler's CPU time spent off the calling thread. It counts CPU
  * time, not wall time, so it holds however the host schedules the
- * workers. On a 4-vCPU host it read 0.62-0.67; the same sampler with
+ * workers. On a 4-vCPU host it read 0.62-0.81; the same sampler with
  * every layer kept on the calling thread read 0.
  */
 constexpr double kSampleWorkerShareFloor = 0.1;
