@@ -55,7 +55,8 @@ class Reporter
     metric(const std::string &metric_name, double value,
            double tolerance)
     {
-        entries_.push_back({metric_name, value, tolerance, std::nullopt});
+        entries_.push_back(
+            {metric_name, value, tolerance, std::nullopt, std::nullopt});
         return *this;
     }
 
@@ -71,7 +72,16 @@ class Reporter
     Reporter &
     atLeast(const std::string &metric_name, double value, double min)
     {
-        entries_.push_back({metric_name, value, 0.0, min});
+        entries_.push_back({metric_name, value, 0.0, min, std::nullopt});
+        return *this;
+    }
+
+    /** Records a metric gated by a one-sided ceiling: it fails only
+     *  when a candidate rises above @p max. */
+    Reporter &
+    atMost(const std::string &metric_name, double value, double max)
+    {
+        entries_.push_back({metric_name, value, 0.0, std::nullopt, max});
         return *this;
     }
 
@@ -88,6 +98,8 @@ class Reporter
             w.key("value").value(entry.value);
             if (entry.min)
                 w.key("min").value(*entry.min);
+            else if (entry.max)
+                w.key("max").value(*entry.max);
             else
                 w.key("tolerance").value(entry.tolerance);
             w.endObject();
@@ -119,6 +131,7 @@ class Reporter
         double value;
         double tolerance;
         std::optional<double> min;
+        std::optional<double> max;
     };
 
     std::string name_;

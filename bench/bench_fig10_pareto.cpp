@@ -29,7 +29,9 @@ runDataset(graph::DatasetId id, std::size_t num_seeds,
     std::printf("budget: %s (24 GB at paper scale), batch %zu seeds\n",
                 util::formatBytes(gpu24).c_str(), seeds.size());
 
-    util::Table table({"system", "#micro-batches", "iteration time",
+    util::Table table({"system", "#micro-batches",
+                       "iteration time (measured host + modeled "
+                       "device)",
                        "peak memory", "status"});
 
     // DGL-like and PyG-like whole batch.

@@ -123,7 +123,8 @@ runDataset(graph::DatasetId id, std::size_t num_seeds, int betty_k,
 
     util::Table table({"system", "sampling", "scheduling", "REG",
                        "METIS", "conn check", "block constr",
-                       "data load", "GPU compute", "total"});
+                       "data load", "GPU compute",
+                       "total (measured host + modeled device)"});
 
     double betty_total = -1.0, buffalo_total = -1.0;
 

@@ -21,6 +21,18 @@
 
 using namespace buffalo;
 
+namespace {
+
+/**
+ * Ceiling on audit_mean_abs_rel_error written into BENCH_smoke.json.
+ * The epoch reads 0.4421 on every run. An estimator that still prices
+ * layer 0's input gradient, which the model no longer allocates,
+ * reads 0.4856 and fails it.
+ */
+constexpr double kAuditErrorCeiling = 0.46;
+
+} // namespace
+
 int
 main()
 {
@@ -67,12 +79,13 @@ main()
                 static_cast<double>(report.transfer_bytes), 0.02)
         .metric("audit_groups",
                 static_cast<double>(report.mem_audit.groups), 0.0)
-        // The estimator's error itself regresses loudly (a changed
-        // Eq. 1/2 shifts it), but small schedule shifts move it too —
-        // hence the looser band.
-        .metric("audit_mean_abs_rel_error",
-                report.mem_audit.meanAbsRelError(), 0.5)
-        .info("epoch_seconds", report.effectiveSeconds());
+        // The estimator's error is a pure function of the cost model
+        // (0.442 on every run), so it is gated by a ceiling: it fails
+        // when Eq. 1/2 gets less accurate.
+        .atMost("audit_mean_abs_rel_error",
+                report.mem_audit.meanAbsRelError(),
+                kAuditErrorCeiling)
+        .info("wall_seconds", report.wall_seconds);
 
     // The cost-model epoch never runs numeric kernels, so exercise
     // the kernel layer on a fixed shape here: byte/call counts are a

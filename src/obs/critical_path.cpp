@@ -138,11 +138,11 @@ pipelineTimeline(const std::vector<std::vector<double>> &durations,
 }
 
 double
-overlapEfficiency(double serial_seconds, double wall_seconds)
+overlapEfficiency(double serial, double wall)
 {
-    if (serial_seconds <= 0.0 || wall_seconds <= 0.0)
+    if (serial <= 0.0 || wall <= 0.0)
         return 0.0;
-    return std::min(1.0, serial_seconds / wall_seconds);
+    return std::min(1.0, serial / wall);
 }
 
 double
@@ -312,15 +312,15 @@ CriticalPathReport
 analyzeModeledPipeline(
     const std::vector<std::string> &stage_order,
     const std::vector<std::vector<double>> &item_stage_seconds,
-    const CpOptions &options)
+    const CpOptions &options, std::size_t window)
 {
-    // Synthesize each item's spans at the times the unscaled
+    // Synthesize each item's spans at the times the unscaled, windowed
     // recurrence admits them, then run the real analyzer: the CP
     // decomposition of the model and of a recorded trace share one
     // code path.
     const std::size_t num_stages = stage_order.size();
     const PipelineTimeline timeline =
-        pipelineTimeline(item_stage_seconds, num_stages);
+        pipelineTimeline(item_stage_seconds, num_stages, window);
     std::vector<CpSpan> spans;
     for (std::size_t i = 0; i < item_stage_seconds.size(); ++i) {
         for (std::size_t s = 0; s < num_stages; ++s) {

@@ -23,16 +23,17 @@
  * this repo reports:
  *   t[i][s] = max(t[i-1][s], t[i][s-1]) + d[i][s]
  * where stage 0 of item i also waits for the last stage of item
- * i - window (bounded queues; window 0 = infinite buffers). The
- * trainer's per-iteration pipelined_seconds is its window-2 case over
- * {prep, device} per micro-batch; the PipelineTrainer's epoch figure
- * runs it over {sample, build, feature, device} per batch with the
- * queue capacities as the window; the what-if bounds and
- * analyzeModeledPipeline run it unwindowed.
+ * i - window (bounded queues; window 0 = infinite buffers). Its one
+ * caller outside this file is the PipelineTrainer's epoch model,
+ * analyzeModeledPipeline over {sample, build, feature, device} per
+ * batch with the queue capacities as the window. The lanes keep two
+ * clocks: the host stages are measured, the device lane is modeled
+ * (device::CostModel seconds).
  *
- * What-if bounds re-run the recurrence over the measured per-item
- * stage durations, each scaled per stage first: scale 1 everywhere is
- * the perfect-overlap bound (no queue gating, infinite buffers);
+ * What-if bounds re-run the recurrence, unwindowed, over the same
+ * per-item stage durations, each scaled per stage first: scale 1
+ * everywhere is the perfect-overlap bound (no queue gating, infinite
+ * buffers), so against a windowed wall it prices the queue capacity;
  * scaling the feature stage by zeroCacheMissScale(hit_rate) models a
  * fully-warm feature cache; scaling the build stage by 1/N models an
  * N-times-faster block generator.
@@ -141,12 +142,13 @@ CriticalPathReport analyzeCriticalPath(std::vector<CpSpan> spans,
                                        const CpOptions &options = {});
 
 /**
- * Analyzes a pipeline from measured per-item stage durations instead
- * of timestamps: synthesizes each item's spans at the times the
- * pipeline recurrence admits them (infinite buffers) and runs
- * analyzeCriticalPath. This is how the PipelineTrainer attributes an
- * epoch without requiring the tracer to be on: the per-batch
- * sample/build/feature/device durations are always measured.
+ * Analyzes a pipeline from per-item stage durations instead of
+ * timestamps: synthesizes each item's spans at the times the pipeline
+ * recurrence admits them, with at most @p window items in flight
+ * (0 = infinite buffers), and runs analyzeCriticalPath. This is how
+ * the PipelineTrainer attributes an epoch without requiring the
+ * tracer to be on. A queue-window stall shows up as critical-path
+ * idle; the what-ifs stay unwindowed.
  *
  * @p item_stage_seconds[i][s] is item i's duration in stage
  * @p stage_order[s] (rows may be ragged; missing stages are 0).
@@ -154,7 +156,7 @@ CriticalPathReport analyzeCriticalPath(std::vector<CpSpan> spans,
 CriticalPathReport analyzeModeledPipeline(
     const std::vector<std::string> &stage_order,
     const std::vector<std::vector<double>> &item_stage_seconds,
-    const CpOptions &options = {});
+    const CpOptions &options = {}, std::size_t window = 0);
 
 /** Every item's stage intervals, item-major: entry i * num_stages + s
  *  is item i in stage s. */
@@ -177,7 +179,7 @@ PipelineTimeline pipelineTimeline(
     std::size_t num_stages, std::size_t window = 0);
 
 /** serial/wall capped to [0, 1]; 0 when either input is <= 0. */
-double overlapEfficiency(double serial_seconds, double wall_seconds);
+double overlapEfficiency(double serial, double wall);
 
 /**
  * Duration scale of the feature stage if every cache miss became a

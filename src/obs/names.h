@@ -150,8 +150,6 @@ inline constexpr char kHistSchedulerNumGroups[] =
     "scheduler.num_groups";
 inline constexpr char kHistSchedulerScheduleSeconds[] =
     "scheduler.schedule_seconds";
-inline constexpr char kHistPipelineOverlapRatio[] =
-    "pipeline.overlap_ratio";
 inline constexpr char kHistBlockgenLayerNodes[] =
     "blockgen.layer_nodes";
 inline constexpr char kHistBlockgenLayerEdges[] =

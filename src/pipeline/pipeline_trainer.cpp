@@ -35,7 +35,6 @@ recordEpochMetrics(const train::EpochReport &report)
 {
     obs::MetricsRegistry &m = obs::metrics();
     m.counter(obs::names::kCtrPipelineEpochs).add();
-    m.histogram(obs::names::kHistPipelineOverlapRatio).add(report.overlapRatio());
     m.gauge(obs::names::kGaugePipelineSampleBusySeconds)
         .set(report.stages.sample_busy_seconds);
     m.gauge(obs::names::kGaugePipelineBuildBusySeconds)
@@ -101,7 +100,7 @@ PipelineTrainer::trainEpochImpl(
     obs::QueueDepthSampler depth_sampler(prefetcher.depthProbes());
 
     /** Per-batch {sample, build, feature, device} durations feeding
-     *  the overlap recurrence and the critical-path model. */
+     *  the overlap model: measured host stages, modeled device. */
     std::vector<std::vector<double>> cp_rows;
 
     train::EpochFold fold(device_);
@@ -129,27 +128,19 @@ PipelineTrainer::trainEpochImpl(
     report.pipelined = true;
     report.stages = prefetcher.stats();
 
-    // 4-lane pipeline schedule (sample | build | feature | device),
-    // with at most `window` batches in flight — the queue capacities.
+    report.cache = cache_->stats();
+
+    // The epoch's overlap model: the 4-lane pipeline schedule
+    // (sample | build | feature | device) with at most `window`
+    // batches in flight (the queue capacities), attributed by the
+    // critical-path walk. The rows come from the prefetcher's
+    // stopwatches and the device's modeled clock, so this works with
+    // the tracer off (buffalo_profile re-derives the same chains from
+    // a recorded trace).
     const std::size_t window =
         3 * static_cast<std::size_t>(
                 std::max(1, options_.pipeline.prefetch_depth)) +
         3;
-    report.pipelined_seconds =
-        obs::pipelineTimeline(cp_rows, 4, window).wall();
-    for (const std::vector<double> &row : cp_rows) {
-        const double prep = row[0] + row[1] + row[2];
-        report.prep_seconds += prep;
-        report.device_seconds += row[3];
-        report.serial_seconds += prep + row[3];
-    }
-
-    report.cache = cache_->stats();
-
-    // Critical-path attribution over the same per-batch durations
-    // that drive the overlap recurrence — available even when the
-    // tracer is off (buffalo_profile re-derives the same chains from
-    // a recorded trace).
     obs::CpOptions cp_options;
     cp_options.cache_hit_rate =
         cache_->enabled() ? report.cache.hitRate() : -1.0;
@@ -160,7 +151,7 @@ PipelineTrainer::trainEpochImpl(
          obs::names::kSpanPipelineBuild,
          obs::names::kSpanPipelineFeature,
          obs::names::kSpanTrainIteration},
-        cp_rows, cp_options);
+        cp_rows, cp_options, window);
     obs::eventLog()
         .event(obs::names::kEvCpReport)
         .field("items", static_cast<std::uint64_t>(report.cp.items))

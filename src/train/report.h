@@ -129,31 +129,15 @@ struct EpochReport
     int num_batches = 0;
     int num_micro_batches = 0;
 
-    /**
-     * Serial end-to-end seconds on both clocks: measured host phases +
-     * modeled device time, summed over the epoch's iterations.
-     */
-    double epoch_seconds = 0.0;
     /** Per-phase seconds summed across the epoch's iterations, each
-     *  clock (measured, modeled) kept apart. */
+     *  clock (measured, modeled) kept apart; phases.modeledSeconds()
+     *  is the epoch's modeled device time. */
     obs::PhaseTimes phases;
+    /** Measured host wall-clock of the epoch loop. */
+    double wall_seconds = 0.0;
 
     /** True when the prefetch pipeline produced this epoch. */
     bool pipelined = false;
-    /**
-     * Epoch wall-clock of the overlap model, with measured host
-     * preparation overlapped behind modeled device execution, so on
-     * both clocks (pipelined runs; 0 otherwise).
-     */
-    double pipelined_seconds = 0.0;
-    /** The same costs summed serially, both clocks (pipelined runs). */
-    double serial_seconds = 0.0;
-    /** Measured host preparation busy time across stages. */
-    double prep_seconds = 0.0;
-    /** Modeled device (transfer + kernel) time. */
-    double device_seconds = 0.0;
-    /** Measured host wall-clock of the epoch loop. */
-    double wall_seconds = 0.0;
 
     std::uint64_t transfer_bytes = 0;
     std::uint64_t transfer_saved_bytes = 0;
@@ -171,29 +155,17 @@ struct EpochReport
      */
     obs::MemoryAuditSummary mem_audit;
     /**
-     * Critical-path decomposition of the epoch's modeled pipeline
-     * (DESIGN.md, "Critical-path attribution"): per-stage self time,
-     * overlap efficiency, dominant stage, what-if bounds. Populated
-     * by the pipelined trainer; empty (items == 0) for serial runs.
+     * The epoch's overlap model and its critical-path decomposition
+     * (DESIGN.md, "Critical-path attribution"): the per-batch rows
+     * run through the pipeline recurrence with the queue capacities
+     * as the window, giving the overlapped wall, the serial sum,
+     * per-stage self time, the dominant stage and the unwindowed
+     * what-if bounds. Its lanes mix the clocks: the sample, build and
+     * feature stages are measured host seconds, the device lane is
+     * modeled. Populated by the pipelined trainer; empty (items == 0)
+     * for serial runs.
      */
     obs::CriticalPathReport cp;
-
-    /** pipelined/serial; < 1 means the overlap hid preparation time. */
-    double
-    overlapRatio() const
-    {
-        return serial_seconds > 0.0
-                   ? pipelined_seconds / serial_seconds
-                   : 0.0;
-    }
-
-    /** The epoch cost to compare across trainers, on both clocks:
-     *  the pipelined time when pipelined, else the serial total. */
-    double
-    effectiveSeconds() const
-    {
-        return pipelined ? pipelined_seconds : epoch_seconds;
-    }
 };
 
 /**

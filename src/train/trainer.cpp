@@ -5,7 +5,6 @@
 #include "baselines/padding.h"
 #include "nn/loss.h"
 #include "obs/audit.h"
-#include "obs/critical_path.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -125,7 +124,8 @@ TrainerBase::trainEpoch(const graph::Dataset &dataset,
         .field("batches", report.num_batches)
         .field("micro_batches", report.num_micro_batches)
         .field("mean_loss", report.mean_loss)
-        .field("epoch_seconds", report.effectiveSeconds())
+        .field("wall_seconds", report.wall_seconds)
+        .field("device_seconds", report.phases.modeledSeconds())
         .field("peak_device_bytes", report.peak_device_bytes)
         .field("audit_groups", report.mem_audit.groups)
         .field("audit_mean_abs_rel_error",
@@ -153,7 +153,6 @@ EpochFold::add(const IterationStats &stats)
     report_.correct += stats.correct;
     report_.outputs += stats.num_outputs;
     report_.num_micro_batches += stats.num_micro_batches;
-    report_.epoch_seconds += stats.endToEndSeconds();
     report_.phases += stats.phases;
     report_.peak_device_bytes =
         std::max(report_.peak_device_bytes, stats.peak_device_bytes);
@@ -191,7 +190,7 @@ TrainerBase::trainEpochImpl(const graph::Dataset &dataset,
     return fold.finish();
 }
 
-double
+void
 TrainerBase::processMicroBatch(const sampling::MicroBatch &mb,
                                const graph::Dataset &dataset,
                                std::size_t batch_output_count,
@@ -237,7 +236,7 @@ TrainerBase::processMicroBatch(const sampling::MicroBatch &mb,
         allocator.onAllocate(bytes);
         allocator.onFree(bytes);
         stats.num_outputs += mb.outputNodes().size();
-        return transfer_seconds + compute_seconds;
+        return;
     }
 
     // --- Numeric execution under the tracking allocator. Staged
@@ -271,7 +270,6 @@ TrainerBase::processMicroBatch(const sampling::MicroBatch &mb,
     stats.loss += loss_result.loss;
     stats.correct += loss_result.correct;
     stats.num_outputs += outputs.size();
-    return transfer_seconds + compute_seconds;
 }
 
 void
@@ -412,25 +410,19 @@ BuffaloTrainer::trainScheduled(const graph::Dataset &dataset,
             // yields one predicted-vs-actual memory record (the
             // estimator audit, DESIGN.md "Memory audit & bench
             // regression"); the iteration peak is the max over them.
-            // Per group {prep, device} seconds, for the overlap model.
-            std::vector<std::vector<double>> rows;
             std::uint64_t iteration_peak = 0;
             for (std::size_t g = 0; g < schedule.groups.size(); ++g) {
                 const core::BucketGroup &group = schedule.groups[g];
                 const PreparedMicroBatch *prepared =
                     use_prefetched ? &prefetched->micro[g] : nullptr;
-                util::StopWatch prep_watch;
                 sampling::MicroBatch generated;
                 if (prepared == nullptr)
                     generated =
                         generator_.generateOne(sg, group, &stats.phases);
-                const double prep_seconds = prep_watch.seconds();
                 device_.allocator().resetPeak();
-                rows.push_back({prep_seconds,
-                                processMicroBatch(
-                                    prepared ? prepared->mb : generated,
-                                    dataset, sg.numSeeds(), stats, 0,
-                                    0.0, prepared)});
+                processMicroBatch(prepared ? prepared->mb : generated,
+                                  dataset, sg.numSeeds(), stats, 0, 0.0,
+                                  prepared);
 
                 obs::GroupMemRecord record;
                 record.group_index = g;
@@ -452,16 +444,6 @@ BuffaloTrainer::trainScheduled(const graph::Dataset &dataset,
                 stats.group_audit.push_back(record);
             }
             optimizerStep(stats);
-
-            // Pipelining extension: preparation of micro-batch k+1
-            // can overlap device execution of micro-batch k, i.e. the
-            // pipeline recurrence with at most 2 groups in flight.
-            double serial = 0.0;
-            for (const std::vector<double> &row : rows)
-                serial += row[0] + row[1];
-            stats.pipelined_seconds =
-                stats.endToEndSeconds() - serial +
-                obs::pipelineTimeline(rows, 2, 2).wall();
 
             stats.num_micro_batches = schedule.num_groups;
             // The optimizer step runs after the last group reset, so

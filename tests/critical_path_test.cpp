@@ -224,10 +224,40 @@ TEST(CriticalPath, PipelineTimelineWindowHandComputation)
     EXPECT_EQ(pipelineTimeline({}, 2, 2).wall(), 0.0);
 }
 
+TEST(CriticalPath, ModeledPipelineAppliesTheQueueWindow)
+{
+    // The rows of PipelineTimelineWindowHandComputation: window 2
+    // gives a wall of 22, no window 13. The what-ifs stay unwindowed,
+    // so perfect_overlap prices the queue capacity at 22/13. Walking
+    // back from item 2's device span: device 21-22 (self 1), item 2's
+    // prep 11-21 (self 10), then 2-11 idle while it waited on the
+    // window, then items 1 and 0's prep (self 1 each).
+    const std::vector<std::vector<double>> rows = {
+        {1.0, 10.0}, {1.0, 1.0}, {10.0, 1.0}};
+    const CriticalPathReport report = analyzeModeledPipeline(
+        {"prep", "device"}, rows, CpOptions{}, 2);
+    EXPECT_DOUBLE_EQ(report.wall_us, 22e6);
+    EXPECT_DOUBLE_EQ(report.serial_us, 24e6);
+    EXPECT_DOUBLE_EQ(stageReport(report, "prep").cp_self_us, 12e6);
+    EXPECT_DOUBLE_EQ(stageReport(report, "device").cp_self_us, 1e6);
+    EXPECT_DOUBLE_EQ(report.idle_us, 9e6);
+
+    ASSERT_EQ(report.whatifs.size(), 1u);
+    EXPECT_EQ(report.whatifs[0].name, "perfect_overlap");
+    EXPECT_DOUBLE_EQ(report.whatifs[0].wall_us, 13e6);
+    EXPECT_NEAR(report.whatifs[0].speedup, 22.0 / 13.0, 1e-12);
+
+    // Window 0 is the unwindowed model: perfect_overlap equals it.
+    const CriticalPathReport open =
+        analyzeModeledPipeline({"prep", "device"}, rows);
+    EXPECT_DOUBLE_EQ(open.wall_us, 13e6);
+    EXPECT_DOUBLE_EQ(open.whatifs[0].wall_us, 13e6);
+}
+
 TEST(CriticalPath, PipelineTimelineWindowTwoIsTheLockstepFormula)
 {
-    // Reference: the lockstep form of the per-iteration overlap model
-    // (prepare micro-batch k+1 while the device runs micro-batch k),
+    // Reference: the lockstep form of a two-deep prefetch (prepare
+    // item k+1 while the device runs item k),
     //   p[0] + sum_k max(p[k+1], d[k]) + d[n-1].
     // The recurrence with a 2-item window must equal it bit for bit,
     // for any durations.

@@ -6,6 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "train/experiment.h"
 #include "train/trainer.h"
 #include "util/format.h"
@@ -238,11 +242,20 @@ TEST(Epochs, MakeBatchesPartitionsNodes)
 // asserts on measured wall-clock time, so it carries the `perf`
 // CTest label and sanitizer CI legs skip it.
 
+std::uint64_t
+oomRetries()
+{
+    return obs::metrics().counter(obs::names::kCtrTrainOomRetries).value();
+}
+
 TEST(Buffalo, OomRetryReschedulesTighter)
 {
     // Lie to the scheduler: tell it the device has 2x the real
     // capacity. Execution then OOMs and the retry loop must recover
-    // by rescheduling against a shrinking safety factor.
+    // by rescheduling against a shrinking safety factor. The retried
+    // iteration must train exactly what a fresh trainer scheduled at
+    // the tightened factor from the start trains: the failed attempts
+    // leave no gradient, cache or optimizer state behind.
     auto &data = arxiv();
     TrainerOptions options =
         baseOptions(data, nn::AggregatorKind::Lstm);
@@ -251,34 +264,45 @@ TEST(Buffalo, OomRetryReschedulesTighter)
         measureWholeBatchPeak(options, seeds, 14) * 6 / 10;
     options.scheduler.mem_constraint = real_capacity * 2;
 
+    const std::uint64_t retries0 = oomRetries();
     device::Device dev("gpu", real_capacity);
     BuffaloTrainer trainer(options, dev);
     util::Rng rng(14);
     auto stats = trainer.trainIteration(data, seeds, rng);
+    const std::uint64_t retries = oomRetries() - retries0;
+    ASSERT_GE(retries, 1u);
     EXPECT_GT(stats.num_micro_batches, 1);
     EXPECT_LE(stats.peak_device_bytes, real_capacity);
     EXPECT_EQ(stats.num_outputs, seeds.size());
-}
 
-TEST(Pipelining, OverlappedTimeIsBoundedAndBeneficial)
-{
-    auto &data = arxiv();
-    TrainerOptions options =
-        baseOptions(data, nn::AggregatorKind::Lstm);
-    options.mode = ExecutionMode::CostModel;
-    const NodeList seeds = seedsOf(data, 256);
-    const std::uint64_t budget =
-        measureWholeBatchPeak(options, seeds, 12) / 2;
-    device::Device dev("gpu", budget);
-    BuffaloTrainer trainer(options, dev);
-    util::Rng rng(12);
-    auto stats = trainer.trainIteration(data, seeds, rng);
-    ASSERT_GT(stats.num_micro_batches, 1);
-    // Overlap can only help, and cannot beat the larger of the two
-    // phase sums.
-    EXPECT_GT(stats.pipelined_seconds, 0.0);
-    EXPECT_LE(stats.pipelined_seconds,
-              stats.endToEndSeconds() + 1e-9);
+    // The factor the retry loop reached: the default 0.82 times 0.7
+    // per retry, multiplied in the loop's order.
+    TrainerOptions tight = options;
+    ASSERT_EQ(tight.scheduler.safety_factor, 0.82);
+    for (std::uint64_t r = 0; r < retries; ++r)
+        tight.scheduler.safety_factor *= 0.7;
+    device::Device fresh_dev("fresh", real_capacity);
+    BuffaloTrainer fresh(tight, fresh_dev);
+    util::Rng fresh_rng(14);
+    const auto expected = fresh.trainIteration(data, seeds, fresh_rng);
+    EXPECT_EQ(oomRetries() - retries0, retries)
+        << "the tightened schedule must fit first time";
+
+    EXPECT_EQ(std::memcmp(&stats.loss, &expected.loss, sizeof(double)),
+              0)
+        << stats.loss << " vs " << expected.loss;
+    EXPECT_EQ(stats.num_micro_batches, expected.num_micro_batches);
+    const auto a = trainer.model().module().parameters();
+    const auto b = fresh.model().module().parameters();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i]->value().size(), b[i]->value().size());
+        EXPECT_EQ(std::memcmp(a[i]->value().data(),
+                              b[i]->value().data(),
+                              a[i]->value().bytes()),
+                  0)
+            << a[i]->name();
+    }
 }
 
 TEST(MultiGpu, RequiresCostModelMode)

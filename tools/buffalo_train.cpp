@@ -250,34 +250,27 @@ main(int argc, char **argv)
         // hook, so one runTraining loop serves every trainer.
         options.epoch_observer = [](int epoch,
                                     const train::EpochReport &r) {
-            if (r.pipelined) {
+            std::printf("epoch %d: loss %.4f acc %.3f (%s measured "
+                        "wall, %s modeled device)\n",
+                        epoch, r.mean_loss, r.accuracy,
+                        util::formatSeconds(r.wall_seconds).c_str(),
+                        util::formatSeconds(r.phases.modeledSeconds())
+                            .c_str());
+            if (!r.pipelined)
+                return;
+            std::printf("  overlap model (measured host stages, modeled "
+                        "device): %s wall vs %s serial\n",
+                        util::formatSeconds(r.cp.wall_us / 1e6).c_str(),
+                        util::formatSeconds(r.cp.serial_us / 1e6).c_str());
+            if (r.cache.capacity_bytes > 0) {
                 std::printf(
-                    "epoch %d: loss %.4f acc %.3f "
-                    "(%s pipelined vs %s serial, prep %s hidden)\n",
-                    epoch, r.mean_loss, r.accuracy,
-                    util::formatSeconds(r.pipelined_seconds).c_str(),
-                    util::formatSeconds(r.serial_seconds).c_str(),
-                    util::formatSeconds(r.serial_seconds -
-                                        r.pipelined_seconds)
-                        .c_str());
-                if (r.cache.capacity_bytes > 0) {
-                    std::printf(
-                        "  cache: %.1f%% hit rate, %s transfer saved "
-                        "(%llu hits / %llu misses / %llu evictions)\n",
-                        r.cache.hitRate() * 100.0,
-                        util::formatBytes(r.transfer_saved_bytes)
-                            .c_str(),
-                        static_cast<unsigned long long>(r.cache.hits),
-                        static_cast<unsigned long long>(
-                            r.cache.misses),
-                        static_cast<unsigned long long>(
-                            r.cache.evictions));
-                }
-            } else {
-                std::printf(
-                    "epoch %d: loss %.4f acc %.3f (%s)\n", epoch,
-                    r.mean_loss, r.accuracy,
-                    util::formatSeconds(r.epoch_seconds).c_str());
+                    "  cache: %.1f%% hit rate, %s transfer saved "
+                    "(%llu hits / %llu misses / %llu evictions)\n",
+                    r.cache.hitRate() * 100.0,
+                    util::formatBytes(r.transfer_saved_bytes).c_str(),
+                    static_cast<unsigned long long>(r.cache.hits),
+                    static_cast<unsigned long long>(r.cache.misses),
+                    static_cast<unsigned long long>(r.cache.evictions));
             }
         };
 
